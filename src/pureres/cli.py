@@ -145,9 +145,10 @@ def _cmd_super(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    cert = exactness.verify_exactness(
-        _ints(args.d), k_max=args.kmax, limit=args.limit
-    )
+    d = _ints(args.d)
+    if args.m is not None and args.m != len(d) - 1:
+        raise ValueError(f"--m {args.m} disagrees with length of d")
+    cert = exactness.verify_exactness(d, k_max=args.kmax, limit=args.limit)
     payload = {
         "d": list(cert.d),
         "m": cert.m,
@@ -165,8 +166,6 @@ def _cmd_verify(args) -> int:
         "passed": cert.passed,
         "scope": cert.scope_note,
     }
-    if args.m is not None and args.m != cert.m:
-        raise ValueError(f"--m {args.m} disagrees with length of d")
     _emit(to_json(payload), args.output)
     return EXIT_OK if cert.passed else EXIT_FAIL
 
@@ -316,7 +315,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except exactness.DimLimitError as exc:
+    except resolutions.ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_LIMIT
     except (ValueError, resolutions.BettiRayError, bott_mod.ScanMismatchError) as exc:

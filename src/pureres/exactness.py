@@ -2,10 +2,30 @@
 cases, and finite certificates of d^2 = 0, graded-slice exactness,
 minimality, Hilbert-function agreement, A-linearity and equivariance.
 
-Everything is realized inside one ambient tensor power E^(x)N with
-dim E = m: Schur modules as images of Young symmetrizers on the leading
-slots, symmetric powers as symmetrized tensors on the trailing slots.  All
-coefficients are exact rationals.
+The degree-k slice of the i-th term is S_alpha(i)(E) (x) Sym^j(E) with
+dim E = m and j = k - d_i.  It lives in one ambient tensor power E^(x)N:
+the Schur module is the image of a Young symmetrizer on the leading
+|alpha(i)| slots (`realize_schur`, an explicit basis of word vectors), and
+Sym^j is the symmetrized tensors on the trailing j slots.
+
+Symmetric tails are never expanded into their anagrams.  A slice vector is
+stored as {(head word, sorted tail multiset): c}, where c is the sum of its
+coefficients over all anagrams of the tail; every vector here is symmetric
+in its tail slots, so this loses nothing.  The basis vector s (x) sym(u)
+is then {(h, u): s[h]}.  Every tail operation has coefficient 1, because
+the normalized symmetrizer sends each anagram of a multiset to the same
+normalized symmetric tensor:
+
+- the i-th map moves the last letters of the head into the tail,
+  (h, u) -> (h[:a], sorted(h[a:] + u)) with a = |alpha(i-1)|, then
+  applies the symmetrizer of the target to h[:a];
+- multiplication by a variable sends (h, u) -> (h, sorted(u + (var,)));
+- a permutation of the letters permutes head and tail, then re-sorts the
+  tail.
+
+The symmetrizer and the Schur coordinates are therefore needed once per
+distinct head word, not once per expanded vector.  All coefficients are
+exact rationals.
 """
 
 from __future__ import annotations
@@ -13,11 +33,12 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations_with_replacement, permutations, product
 from math import comb, factorial, prod
 
 from .partitions import dim_gl, trim
 from .resolutions import (
+    ResourceLimitError,
     alpha,
     betti_F,
     check_degrees,
@@ -30,7 +51,7 @@ DEFAULT_TENSOR_LIMIT = 3**12
 Vec = dict  # word tuple -> Fraction
 
 
-class DimLimitError(Exception):
+class DimLimitError(ResourceLimitError):
     """Ambient tensor dimension exceeds the configured limit."""
 
 
@@ -147,23 +168,15 @@ def _multiset_perms(word):
             yield (x,) + tail
 
 
-_SYM_CACHE: dict = {}
-
-
 def sym_tensor(word) -> Vec:
     """The symmetrized tensor of a multiset of letters: average over all
     slot permutations, expressed over distinct anagrams."""
     key = tuple(sorted(word))
-    cached = _SYM_CACHE.get(key)
-    if cached is None:
-        j = len(key)
-        counts: dict = {}
-        for x in key:
-            counts[x] = counts.get(x, 0) + 1
-        coeff = Fraction(prod(factorial(c) for c in counts.values()), factorial(j))
-        cached = {w: coeff for w in _multiset_perms(key)}
-        _SYM_CACHE[key] = cached
-    return cached
+    counts: dict = {}
+    for x in key:
+        counts[x] = counts.get(x, 0) + 1
+    coeff = Fraction(prod(factorial(c) for c in counts.values()), factorial(len(key)))
+    return {w: coeff for w in _multiset_perms(key)}
 
 
 def symmetrize_trailing(vec: Vec, start: int) -> Vec:
@@ -293,6 +306,7 @@ class SchurRealization:
     m: int
     order: str
     basis: list  # projected vectors spanning the symmetrizer image
+    echelon: SubspaceBasis  # the same vectors, echelonized for coordinates
 
     @property
     def dim(self) -> int:
@@ -323,52 +337,40 @@ def realize_schur(lam, m: int, limit: int | None = None, order: str = "row") -> 
         raise DimMismatchError(
             f"symmetrizer image of {lam} over dim {m} has rank {len(basis)}, expected {target}"
         )
-    return SchurRealization(lam=lam, m=m, order=order, basis=basis)
+    return SchurRealization(lam=lam, m=m, order=order, basis=basis, echelon=ech)
 
 
 class SliceSpace:
-    """The degree-k slice of the i-th free term, realized in E^(x)N:
-    Schur basis on the leading slots tensored with symmetrized trailing
-    tensors, one per multiset."""
+    """The degree-k slice S_lam(E) (x) Sym^j(E) of one free term, j = k - d_i.
 
-    def __init__(self, schur: SchurRealization, sym_degree: int, ambient: int):
+    Basis vector number `s * len(multisets) + u` is schur.basis[s] (x)
+    sym(multisets[u]), where sym(u) is the normalized symmetric tensor of
+    the sorted tail multiset u.  A slice vector is written
+    {(head word, sorted tail): c}, with c the sum of its coefficients over
+    all anagrams of the tail in E^(x)N; the basis vector s (x) sym(u) is
+    then {(h, u): s[h]}.  Maps that act on the tail (moving head letters
+    into it, multiplying by a variable, permuting letters) send each
+    (h, u) to a single (h', u') with coefficient 1, because the normalized
+    symmetrizer sends every anagram of a multiset to the same sym(u).
+
+    The basis is independent because the Schur basis is and the tail
+    multisets are distinct, so nothing is echelonized here."""
+
+    def __init__(self, schur: SchurRealization, sym_degree: int):
         self.schur = schur
         self.sym_degree = sym_degree
-        self.ambient = ambient
-        m = schur.m
-        multisets = [
-            tuple(w)
-            for w in product(range(m), repeat=sym_degree)
-            if all(w[a] <= w[a + 1] for a in range(sym_degree - 1))
-        ]
-        self.basis: list[Vec] = []
-        for s in schur.basis:
-            for u in multisets:
-                tail = sym_tensor(u)
-                v: Vec = {}
-                for w1, c1 in s.items():
-                    for w2, c2 in tail.items():
-                        v[w1 + w2] = c1 * c2
-                self.basis.append(v)
-        self.echelon = SubspaceBasis()
-        for v in self.basis:
-            if not self.echelon.add(v):
-                raise DimMismatchError("slice basis unexpectedly dependent")
+        self.multisets = list(combinations_with_replacement(range(schur.m), sym_degree))
+        self.tail_index = {u: j for j, u in enumerate(self.multisets)}
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
-
-    def coords_column(self, vec: Vec) -> list:
-        col = [Fraction(0)] * self.dim
-        for idx, c in self.echelon.coords(vec).items():
-            col[idx] = c
-        return col
+        return self.schur.dim * len(self.multisets)
 
 
 class SliceLab:
     """Shared realization context for one degree sequence: caches Schur
-    realizations, slice spaces, differential and multiplication matrices."""
+    realizations, slice spaces, generator images and differential
+    matrices."""
 
     def __init__(self, d, limit: int | None = None, order: str = "row"):
         self.d = check_degrees(d)
@@ -379,7 +381,7 @@ class SliceLab:
         self._schur: dict = {}
         self._spaces: dict = {}
         self._diff: dict = {}
-        self._symmetrizers: dict = {}
+        self._images: dict = {}
 
     def _ambient(self, k: int) -> int:
         # all terms of the degree-k slice live in E^(x)(|lambda| + k - d_0)
@@ -400,13 +402,6 @@ class SliceLab:
             )
         return self._schur[i]
 
-    def symmetrizer(self, i: int) -> YoungSymmetrizer:
-        if i not in self._symmetrizers:
-            self._symmetrizers[i] = YoungSymmetrizer(
-                trim(alpha(self.d, i)), self.order
-            )
-        return self._symmetrizers[i]
-
     def space(self, i: int, k: int) -> SliceSpace:
         """Realized (F_i)_k; zero-dimensional below the generator degree."""
         key = (i, k)
@@ -415,7 +410,7 @@ class SliceLab:
             if k < self.d[i]:
                 sp = None
             else:
-                sp = SliceSpace(self.schur(i), k - self.d[i], self._ambient(k))
+                sp = SliceSpace(self.schur(i), k - self.d[i])
                 expected = self.table.ranks[i] * comb(
                     k - self.d[i] + self.m - 1, self.m - 1
                 )
@@ -430,56 +425,99 @@ class SliceLab:
         sp = self.space(i, k)
         return 0 if sp is None else sp.dim
 
+    def generator_images(self, i: int) -> list:
+        """Image of each Schur basis vector of F_i under the i-th map, as
+        {sorted suffix: {target Schur index: coefficient}}.
+
+        The map symmetrizes the slots from a = |alpha(d, i-1)| on and then
+        applies the symmetrizer Y of F_{i-1} to the first a slots.  A head
+        word h goes to Y(h[:a]) (x) sym(h[a:]) with coefficient 1, so Y is
+        applied and reduced to Schur coordinates once per distinct prefix
+        h[:a]; each word only adds its coefficient to its suffix's entry."""
+        if i not in self._images:
+            target = self.schur(i - 1)
+            sym = YoungSymmetrizer(target.lam, self.order)
+            a = sum(target.lam)
+            prefix_coords: dict = {}
+            images = []
+            for s in self.schur(i).basis:
+                img: dict = {}
+                for h, c in s.items():
+                    p = h[:a]
+                    pc = prefix_coords.get(p)
+                    if pc is None:
+                        pc = prefix_coords[p] = target.echelon.coords(
+                            sym.apply({p: Fraction(1)})
+                        )
+                    slot = img.setdefault(tuple(sorted(h[a:])), {})
+                    for r, x in pc.items():
+                        slot[r] = slot.get(r, 0) + c * x
+                images.append(img)
+            self._images[i] = images
+        return self._images[i]
+
     def differential(self, i: int, k: int):
         """Matrix of the i-th differential on the degree-k slice, in the
-        realized bases (target coordinates x source coordinates)."""
+        realized bases (target coordinates x source coordinates).  The
+        generator image of s, times the tail u, lands at the tails
+        suffix + u."""
         if not 1 <= i <= self.m:
             raise ValueError(f"differential index {i} outside 1..{self.m}")
         key = (i, k)
         if key not in self._diff:
             src = self.space(i, k)
             tgt = self.space(i - 1, k)
-            if src is None or tgt is None:
-                self._diff[key] = mat_zero(0 if tgt is None else tgt.dim, 0 if src is None else src.dim)
-                return self._diff[key]
-            proj = self.symmetrizer(i - 1)
-            a = sum(trim(alpha(self.d, i - 1)))
-            cols = []
-            for v in src.basis:
-                img = proj.apply(symmetrize_trailing(v, a))
-                cols.append(tgt.coords_column(img))
-            mat = [[cols[j][r] for j in range(len(cols))] for r in range(tgt.dim)]
-            if mat_is_zero(mat) and k == self.d[i] and src.dim and tgt.dim:
-                raise ZeroMapError(
-                    f"differential {i} vanished at its generator slice {k}"
-                )
+            mat = mat_zero(0 if tgt is None else tgt.dim, 0 if src is None else src.dim)
+            if src is not None and tgt is not None:
+                n_src, n_tgt = len(src.multisets), len(tgt.multisets)
+                for s, img in enumerate(self.generator_images(i)):
+                    for j, u in enumerate(src.multisets):
+                        col = s * n_src + j
+                        for suffix, coeffs in img.items():
+                            t = tgt.tail_index[tuple(sorted(suffix + u))]
+                            for r, x in coeffs.items():
+                                mat[r * n_tgt + t][col] += x
+                if mat_is_zero(mat) and k == self.d[i] and src.dim and tgt.dim:
+                    raise ZeroMapError(
+                        f"differential {i} vanished at its generator slice {k}"
+                    )
             self._diff[key] = mat
         return self._diff[key]
 
     def multiplication(self, i: int, k: int, var: int):
         """Matrix of multiplication by the var-th basis variable,
-        (F_i)_k -> (F_i)_{k+1}."""
+        (F_i)_k -> (F_i)_{k+1}: s (x) sym(u) goes to s (x) sym(u + var)."""
         src = self.space(i, k)
         tgt = self.space(i, k + 1)
-        if src is None:
-            return mat_zero(0 if tgt is None else tgt.dim, 0)
-        a = sum(trim(alpha(self.d, i)))
-        cols = []
-        for v in src.basis:
-            shifted = {w + (var,): c for w, c in v.items()}
-            cols.append(tgt.coords_column(symmetrize_trailing(shifted, a)))
-        return [[cols[j][r] for j in range(len(cols))] for r in range(tgt.dim)]
+        mat = mat_zero(0 if tgt is None else tgt.dim, 0 if src is None else src.dim)
+        if src is not None:
+            n_src, n_tgt = len(src.multisets), len(tgt.multisets)
+            for s in range(src.schur.dim):
+                for j, u in enumerate(src.multisets):
+                    t = tgt.tail_index[tuple(sorted(u + (var,)))]
+                    mat[s * n_tgt + t][s * n_src + j] = Fraction(1)
+        return mat
 
     def letter_action(self, i: int, k: int, g) -> list:
-        """Matrix of the permutation g of basis letters on (F_i)_k."""
+        """Matrix of the permutation g of basis letters on (F_i)_k:
+        s (x) sym(u) goes to g(s) (x) sym(g(u)), and g(s) is reduced to
+        Schur coordinates once per basis vector."""
         sp = self.space(i, k)
         if sp is None:
             return []
-        cols = []
-        for v in sp.basis:
-            moved = {tuple(g[x] for x in w): c for w, c in v.items()}
-            cols.append(sp.coords_column(moved))
-        return [[cols[j][r] for j in range(len(cols))] for r in range(sp.dim)]
+        schur = sp.schur
+        moved = [
+            schur.echelon.coords({tuple(g[x] for x in h): c for h, c in s.items()})
+            for s in schur.basis
+        ]
+        n = len(sp.multisets)
+        mat = mat_zero(sp.dim, sp.dim)
+        for s, coeffs in enumerate(moved):
+            for j, u in enumerate(sp.multisets):
+                t = sp.tail_index[tuple(sorted(g[x] for x in u))]
+                for r, x in coeffs.items():
+                    mat[r * n + t][s * n + j] = x
+        return mat
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,10 @@ class NotIntegralError(BettiRayError):
     pass
 
 
+class ResourceLimitError(Exception):
+    """An input would need more time or memory than a fixed budget allows."""
+
+
 class AmbiguousSocleError(Exception):
     """The top-degree strip set of M(d) is not a singleton."""
 
@@ -105,6 +109,13 @@ def gamma(d, i: int) -> tuple[int, ...]:
     return trim(parts)
 
 
+# Largest dim F the determinantal construction accepts.  The cost of the
+# weights and Weyl dimensions grows about as dim_f^4: betti_H takes about
+# 0.5 s at 200 and over 100 s at 1000, and gamma() alone allocates a list
+# of dim_f - 1 parts.
+DET_DIM_LIMIT = 200
+
+
 @dataclass(frozen=True)
 class DetSetup:
     """Ambient data of the determinantal construction for a length-s sequence."""
@@ -119,6 +130,10 @@ def det_setup(d) -> DetSetup:
     e = diffs(d)
     s = len(d) - 1
     dim_f = 1 + sum(e[i] - 1 for i in range(1, s + 1))
+    if dim_f > DET_DIM_LIMIT:
+        raise ResourceLimitError(
+            f"determinantal construction needs dim F = {dim_f} > limit {DET_DIM_LIMIT}"
+        )
     return DetSetup(s=s, dim_f=dim_f, dim_g=dim_f + s - 1, lambda_det=gamma(d, 0))
 
 

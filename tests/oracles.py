@@ -1,8 +1,20 @@
 """Independent brute-force oracles used by the tests: semistandard tableau
 enumeration for (skew) Schur module dimensions, kept deliberately separate
-from the library's formulas."""
+from the library's formulas, and a word-level realization of the slice
+complex for the exactness lab."""
 
+from fractions import Fraction
+from itertools import product
+
+from pureres.exactness import (
+    SubspaceBasis,
+    YoungSymmetrizer,
+    realize_schur,
+    sym_tensor,
+    symmetrize_trailing,
+)
 from pureres.partitions import part, trim
+from pureres.resolutions import alpha
 
 
 def count_ssyt(outer, inner, n: int) -> int:
@@ -53,3 +65,81 @@ def random_degrees(rng, max_m: int, d_max: int, min_m: int = 1):
         vals = sorted(rng.sample(range(d_max + 1), m + 1))
         if len(set(vals)) == m + 1:
             return tuple(vals)
+
+
+class WordSlices:
+    """Word-level reference realization of the slice complex: every slice
+    basis vector is written out over all anagrams of its tail in E^(x)N
+    (`sym_tensor`), and every map is applied word by word and reduced to
+    coordinates by echelonizing the whole slice basis.  Slow but direct;
+    the library's multiset-tail matrices must agree with it entry for
+    entry."""
+
+    def __init__(self, d, order: str = "row"):
+        self.d = tuple(d)
+        self.m = len(self.d) - 1
+        self.order = order
+        self._spaces: dict = {}
+
+    def space(self, i: int, k: int):
+        """(basis vectors, echelon) of (F_i)_k, or None below degree d_i."""
+        key = (i, k)
+        if key not in self._spaces:
+            sp = None
+            if k >= self.d[i]:
+                schur = realize_schur(alpha(self.d, i), self.m, order=self.order)
+                multisets = [
+                    w
+                    for w in product(range(self.m), repeat=k - self.d[i])
+                    if list(w) == sorted(w)
+                ]
+                basis = []
+                for s in schur.basis:
+                    for u in multisets:
+                        tail = sym_tensor(u)
+                        basis.append(
+                            {h + w: c * x for h, c in s.items() for w, x in tail.items()}
+                        )
+                echelon = SubspaceBasis()
+                assert all(echelon.add(v) for v in basis)
+                sp = (basis, echelon)
+            self._spaces[key] = sp
+        return self._spaces[key]
+
+    def _matrix(self, tgt, images) -> list:
+        basis, echelon = tgt
+        cols = []
+        for img in images:
+            col = [Fraction(0)] * len(basis)
+            for idx, c in echelon.coords(img).items():
+                col[idx] = c
+            cols.append(col)
+        return [[col[r] for col in cols] for r in range(len(basis))]
+
+    def differential(self, i: int, k: int) -> list:
+        src, tgt = self.space(i, k), self.space(i - 1, k)
+        if src is None or tgt is None:
+            rows = 0 if tgt is None else len(tgt[0])
+            return [[Fraction(0)] * (0 if src is None else len(src[0])) for _ in range(rows)]
+        lam = trim(alpha(self.d, i - 1))
+        sym = YoungSymmetrizer(lam, self.order)
+        a = sum(lam)
+        return self._matrix(tgt, [sym.apply(symmetrize_trailing(v, a)) for v in src[0]])
+
+    def multiplication(self, i: int, k: int, var: int) -> list:
+        src, tgt = self.space(i, k), self.space(i, k + 1)
+        if src is None:
+            return [[] for _ in range(0 if tgt is None else len(tgt[0]))]
+        a = sum(alpha(self.d, i))
+        return self._matrix(
+            tgt,
+            [symmetrize_trailing({w + (var,): c for w, c in v.items()}, a) for v in src[0]],
+        )
+
+    def letter_action(self, i: int, k: int, g) -> list:
+        sp = self.space(i, k)
+        if sp is None:
+            return []
+        return self._matrix(
+            sp, [{tuple(g[x] for x in w): c for w, c in v.items()} for v in sp[0]]
+        )

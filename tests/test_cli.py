@@ -137,3 +137,28 @@ class TestBigIntJson:
         big = [r["rank"] for r in doc["rows"] if isinstance(r["rank"], str)]
         for v in big:
             assert int(v) > 2**63 - 1
+
+
+class TestValidationOrder:
+    def test_verify_m_rejected_before_certificate(self, capsys, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("verify_exactness called before --m was checked")
+
+        monkeypatch.setattr("pureres.exactness.verify_exactness", boom)
+        code, out = run(capsys, "verify", "--m", "7", "--d", "0,1,2,4")
+        assert code == 2
+        assert out == ""
+
+
+class TestHostileInputs:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("scan", "--d", "0,1000000000"),
+            ("betti", "--construction", "H", "--d", "0,1000000000"),
+        ],
+    )
+    def test_huge_det_dimension_is_a_resource_limit(self, capsys, argv):
+        code, out = run(capsys, *argv)
+        assert code == 3
+        assert out == ""

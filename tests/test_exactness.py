@@ -25,7 +25,7 @@ from pureres.exactness import (
 from pureres.partitions import dim_gl
 from pureres.resolutions import betti_F, hilbert_M_strips
 
-from oracles import random_partition
+from oracles import WordSlices, random_partition
 
 
 class TestSymmetrizer:
@@ -173,6 +173,28 @@ class TestDifferentials:
         for g in permutations(range(2)):
             assert equivariance_spotcheck((0, 2, 3), 1, 2, g)
             assert equivariance_spotcheck((0, 2, 3), 2, 3, g)
+
+
+class TestWordLevelOracle:
+    """The multiset-tail matrices equal the word-level realization entry for
+    entry: same maps, same bases, so the coordinates must agree."""
+
+    @pytest.mark.parametrize("d", [(0, 1, 3), (0, 2, 3), (0, 1, 2, 3)])
+    def test_matrices_match(self, d):
+        lab, ref = SliceLab(d), WordSlices(d)
+        m, k_max = len(d) - 1, d[-1] + 2
+        for k in range(d[0], k_max + 1):
+            for i in range(1, m + 1):
+                assert lab.differential(i, k) == ref.differential(i, k), ("d", i, k)
+            for i in range(m + 1):
+                for g in permutations(range(m)):
+                    assert lab.letter_action(i, k, g) == ref.letter_action(i, k, g), (
+                        "g", i, k, g
+                    )
+                for var in range(m):
+                    assert lab.multiplication(i, k, var) == ref.multiplication(
+                        i, k, var
+                    ), ("x", i, k, var)
 
 
 class TestCertificates:

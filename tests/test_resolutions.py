@@ -5,9 +5,11 @@ import pytest
 
 from pureres.partitions import conjugate, dim_gl, dim_super, trim
 from pureres.resolutions import (
+    DET_DIM_LIMIT,
     AmbiguousSocleError,
     NotIntegralError,
     NotOnRayError,
+    ResourceLimitError,
     alpha,
     base_weight,
     betti_F,
@@ -279,3 +281,9 @@ class TestDetSetup:
         s = det_setup((0, 3, 4, 7))
         assert (s.s, s.dim_f, s.dim_g) == (3, 5, 7)
         assert s.lambda_det == gamma((0, 3, 4, 7), 0)
+
+    def test_dim_limit(self):
+        # dim F = 1 + sum(e_i - 1); the check runs before gamma() allocates
+        assert det_setup((0, DET_DIM_LIMIT)).dim_f == DET_DIM_LIMIT
+        with pytest.raises(ResourceLimitError):
+            det_setup((0, DET_DIM_LIMIT + 1))
