@@ -8,6 +8,13 @@ the Schur module is the image of a Young symmetrizer on the leading
 |alpha(i)| slots (`realize_schur`, an explicit basis of word vectors), and
 Sym^j is the symmetrized tensors on the trailing j slots.
 
+Schur bases.  The symmetrizer (row symmetrizer, then column
+antisymmetrizer) applied to {word: 1} has integer entries.  Every
+rearrangement of a word within the rows of the filling has the same image,
+and the row-sorted one is the first of them in product order, so the
+search projects only row-sorted words and keeps the same basis as a search
+over all m^|alpha| words.
+
 Symmetric tails are never expanded into their anagrams.  A slice vector is
 stored as {(head word, sorted tail multiset): c}, where c is the sum of its
 coefficients over all anagrams of the tail; every vector here is symmetric
@@ -24,13 +31,22 @@ normalized symmetric tensor:
   tail.
 
 The symmetrizer and the Schur coordinates are therefore needed once per
-distinct head word, not once per expanded vector.  All coefficients are
-exact rationals.
+distinct head word, not once per expanded vector.
+
+Slice matrices are about 1-2% nonzero, so the certificate keeps them as
+sparse columns, one {row: nonzero Fraction} dict per source basis vector.
+Ranks come from sparse elimination over Q, d^2 and equivariance from one
+sparse product, and A-linearity from comparing columns: multiplication by
+a variable maps basis vectors injectively to basis vectors, so it is an
+index map and needs no product.  The dense matrices of `differential`,
+`multiplication` and `letter_action` are built from the same sparse
+forms.  All arithmetic is exact over Z and Q; nothing is a float.
 """
 
 from __future__ import annotations
 
 import os
+import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
@@ -48,7 +64,7 @@ from .resolutions import (
 
 DEFAULT_TENSOR_LIMIT = 3**12
 
-Vec = dict  # word tuple -> Fraction
+Vec = dict  # word tuple -> int or Fraction
 
 
 class DimLimitError(ResourceLimitError):
@@ -101,56 +117,78 @@ def _filling_groups(lam, order: str) -> tuple[list[list[int]], list[list[int]]]:
     return rows, cols
 
 
-def _block_perms(blocks: list[list[int]], t: int, signed: bool):
-    """All slot permutations preserving each block, as (mapping, sign)."""
-    out = [(tuple(range(t)), 1)]
-    for block in blocks:
-        if len(block) < 2:
-            continue
-        fresh = []
-        for base, s in out:
-            for perm in permutations(block):
-                p = list(base)
-                sign = 1
-                if signed:
-                    seen = list(perm)
-                    for a in range(len(seen)):
-                        for b in range(a + 1, len(seen)):
-                            if seen[a] > seen[b]:
-                                sign = -sign
-                for src, dst in zip(block, perm):
-                    p[dst] = base[src]
-                fresh.append((tuple(p), s * sign if signed else s))
-        out = fresh
-    return out
+def _signed_perms(n: int) -> list:
+    """Every permutation of range(n) with its sign."""
+    return [
+        (p, (-1) ** sum(p[a] > p[b] for a in range(n) for b in range(a + 1, n)))
+        for p in permutations(range(n))
+    ]
 
 
 class YoungSymmetrizer:
     """Row symmetrizer followed by column antisymmetrizer for the canonical
-    filling of a frame, acting on the leading |lam| slots of words."""
+    filling of a frame, acting on the leading |lam| slots of words.
+
+    Both are sums over the slot permutations that preserve every row
+    (column), taken over distinct result words: a row whose letters occur
+    n_1, n_2, ... times yields each distinct rearrangement n_1! n_2! ...
+    times, and a column with a repeated letter contributes nothing, since
+    swapping the two equal letters pairs its terms with opposite signs.
+    Integer input coefficients give integer output."""
 
     def __init__(self, lam, order: str = "row"):
         self.lam = trim(lam)
-        self.t = sum(self.lam)
         rows, cols = _filling_groups(self.lam, order)
-        self._row_perms = _block_perms(rows, self.t, signed=False)
-        self._col_perms = _block_perms(cols, self.t, signed=True)
+        self._rows = [r for r in rows if len(r) > 1]
+        self._cols = [(c, _signed_perms(len(c))) for c in cols if len(c) > 1]
 
-    def _apply_perms(self, vec: Vec, perms) -> Vec:
-        out: Vec = {}
-        for w, c in vec.items():
-            head, tail = w[: self.t], w[self.t :]
-            for p, s in perms:
-                nw = tuple(head[p[i]] for i in range(self.t)) + tail
-                y = out.get(nw, 0) + s * c
-                if y:
-                    out[nw] = y
-                else:
-                    out.pop(nw, None)
-        return out
+    def _row_terms(self, word) -> list:
+        """(word, multiplicity) over the distinct row rearrangements of word."""
+        terms = [(list(word), 1)]
+        for row in self._rows:
+            letters = tuple(sorted(word[s] for s in row))
+            mult = prod(factorial(letters.count(x)) for x in set(letters))
+            arrangements = list(_multiset_perms(letters))
+            fresh = []
+            for base, c in terms:
+                for arr in arrangements:
+                    w = base[:]
+                    for s, x in zip(row, arr):
+                        w[s] = x
+                    fresh.append((w, c * mult))
+            terms = fresh
+        return terms
+
+    def _column_terms(self, word) -> list:
+        """(word, sign) over the column permutations of word; empty if a
+        column repeats a letter."""
+        columns = [(col, perms, [word[s] for s in col]) for col, perms in self._cols]
+        if any(len(set(letters)) < len(letters) for _, _, letters in columns):
+            return []
+        terms = [(word, 1)]
+        for col, perms, letters in columns:
+            fresh = []
+            for base, c in terms:
+                for p, sign in perms:
+                    w = base[:]
+                    for s, j in zip(col, p):
+                        w[s] = letters[j]
+                    fresh.append((w, c * sign))
+            terms = fresh
+        return terms
 
     def apply(self, vec: Vec) -> Vec:
-        return self._apply_perms(self._apply_perms(vec, self._row_perms), self._col_perms)
+        out: Vec = {}
+        for word, c in vec.items():
+            for rw, rc in self._row_terms(word):
+                for cw, cc in self._column_terms(rw):
+                    key = tuple(cw)
+                    y = out.get(key, 0) + c * rc * cc
+                    if y:
+                        out[key] = y
+                    else:
+                        out.pop(key, None)
+        return out
 
 
 def _multiset_perms(word):
@@ -228,10 +266,11 @@ class SubspaceBasis:
         if not res:
             return False
         pw = min(res)
-        scale = res[pw]
-        norm = {w: c / scale for w, c in res.items()}
-        pc = {idx: -x / scale for idx, x in combo.items()}
-        pc[self.count] = Fraction(1) / scale
+        # Fraction, not int: the symmetrizer images have integer entries
+        inv = 1 / Fraction(res[pw])
+        norm = {w: c * inv for w, c in res.items()}
+        pc = {idx: -x * inv for idx, x in combo.items()}
+        pc[self.count] = inv
         self._pivots.append((pw, norm, pc))
         self.count += 1
         return True
@@ -246,50 +285,79 @@ class SubspaceBasis:
 
 
 # ---------------------------------------------------------------------------
-# dense rational matrices
+# rational matrices
+#
+# Inside the lab a matrix is a list of sparse columns, one {row: nonzero
+# entry} dict per source basis vector.  The public slice matrices and
+# `mat_mul` use dense rows (lists), converted at the boundary.
 
 
 def mat_zero(rows: int, cols: int):
     return [[Fraction(0)] * cols for _ in range(rows)]
 
 
-def mat_mul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = mat_zero(rows, cols)
-    for i in range(rows):
-        ai = a[i]
-        oi = out[i]
-        for k in range(inner):
-            c = ai[k]
-            if c:
-                bk = b[k]
-                for j in range(cols):
-                    if bk[j]:
-                        oi[j] += c * bk[j]
+def _columns(a, ncols: int) -> list:
+    """Sparse columns of the dense row matrix a with ncols columns."""
+    cols: list = [{} for _ in range(ncols)]
+    for r, row in enumerate(a):
+        for j, x in enumerate(row):
+            if x:
+                cols[j][r] = x
+    return cols
+
+
+def _dense(cols, rows: int) -> list:
+    """Dense rows of the sparse column matrix cols with the given row count."""
+    out = mat_zero(rows, len(cols))
+    for j, col in enumerate(cols):
+        for r, x in col.items():
+            out[r][j] = x
     return out
 
 
+def mul_columns(a, b) -> list:
+    """Sparse columns of the product a b of two sparse column matrices:
+    column j is the sum of x times column r of a over the entries (r, x)
+    of column j of b."""
+    out = []
+    for col in b:
+        acc: dict = {}
+        for r, x in col.items():
+            for q, y in a[r].items():
+                acc[q] = acc.get(q, 0) + x * y
+        out.append({q: z for q, z in acc.items() if z})
+    return out
+
+
+def mat_mul(a, b):
+    cols = len(b[0]) if b else 0
+    return _dense(mul_columns(_columns(a, len(b)), _columns(b, cols)), len(a))
+
+
 def mat_rank(a) -> int:
-    if not a or not a[0]:
-        return 0
-    m = [row[:] for row in a]
-    rows, cols = len(m), len(m[0])
-    rank = 0
-    for col in range(cols):
-        piv = next((r for r in range(rank, rows) if m[r][col]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = 1 / Fraction(m[rank][col])
-        m[rank] = [x * inv for x in m[rank]]
-        for r in range(rows):
-            if r != rank and m[r][col]:
-                c = m[r][col]
-                m[r] = [x - c * y for x, y in zip(m[r], m[rank])]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+    """Exact rank over Q of a matrix given as dense rows (lists) or as
+    sparse columns ({index: entry} dicts); row rank equals column rank, so
+    either orientation serves.  Each vector is reduced by the pivot vectors
+    keyed by their leading index until its leading index is new; it then
+    becomes the pivot of that index, scaled to lead with 1."""
+    pivots: dict = {}
+    for vec in a:
+        v = {j: x for j, x in (vec.items() if isinstance(vec, dict) else enumerate(vec)) if x}
+        while v:
+            lead = min(v)
+            p = pivots.get(lead)
+            if p is None:
+                inv = 1 / Fraction(v[lead])
+                pivots[lead] = {j: x * inv for j, x in v.items()}
+                break
+            c = v[lead]
+            for j, x in p.items():
+                y = v.get(j, 0) - c * x
+                if y:
+                    v[j] = y
+                else:
+                    del v[j]
+    return len(pivots)
 
 
 def mat_is_zero(a) -> bool:
@@ -313,10 +381,30 @@ class SchurRealization:
         return len(self.basis)
 
 
+def _row_sorted_words(lam, m: int, order: str) -> list:
+    """Words of length |lam| whose letters weakly increase along every row
+    of the filling, in product (lexicographic) order.  The row symmetrizer
+    gives every rearrangement of a word within rows the same image, and the
+    row-sorted one comes first among them in product order."""
+    rows, _ = _filling_groups(lam, order)
+    t = sum(len(r) for r in rows)
+    words = []
+    for fill in product(*(combinations_with_replacement(range(m), len(r)) for r in rows)):
+        w = [0] * t
+        for slots, letters in zip(rows, fill):
+            for slot, x in zip(slots, letters):
+                w[slot] = x
+        words.append(tuple(w))
+    words.sort()
+    return words
+
+
 def realize_schur(lam, m: int, limit: int | None = None, order: str = "row") -> SchurRealization:
     """Basis of the Young-symmetrizer image inside E^(x)|lam|, found by
-    projecting spanning words and keeping an independent set.  The rank is
-    checked against the Weyl dimension formula."""
+    projecting row-sorted words in product order and keeping an independent
+    set; the other words repeat an earlier image, so the basis is the one a
+    search over all m^|lam| words keeps.  Images of {word: 1} have integer
+    entries.  The rank is checked against the Weyl dimension formula."""
     lam = trim(lam)
     if limit is None:
         limit = tensor_limit()
@@ -327,8 +415,8 @@ def realize_schur(lam, m: int, limit: int | None = None, order: str = "row") -> 
     sym = YoungSymmetrizer(lam, order)
     ech = SubspaceBasis()
     basis = []
-    for word in product(range(m), repeat=t):
-        v = sym.apply({word: Fraction(1)})
+    for word in _row_sorted_words(lam, m, order):
+        v = sym.apply({word: 1})
         if v and ech.add(v):
             basis.append(v)
             if len(basis) == target:
@@ -369,8 +457,8 @@ class SliceSpace:
 
 class SliceLab:
     """Shared realization context for one degree sequence: caches Schur
-    realizations, slice spaces, generator images and differential
-    matrices."""
+    realizations, slice spaces, generator images and the sparse columns of
+    the differentials."""
 
     def __init__(self, d, limit: int | None = None, order: str = "row"):
         self.d = check_degrees(d)
@@ -380,7 +468,7 @@ class SliceLab:
         self.table = betti_F(self.d)
         self._schur: dict = {}
         self._spaces: dict = {}
-        self._diff: dict = {}
+        self._cols: dict = {}
         self._images: dict = {}
 
     def _ambient(self, k: int) -> int:
@@ -446,78 +534,90 @@ class SliceLab:
                     p = h[:a]
                     pc = prefix_coords.get(p)
                     if pc is None:
-                        pc = prefix_coords[p] = target.echelon.coords(
-                            sym.apply({p: Fraction(1)})
-                        )
+                        pc = prefix_coords[p] = target.echelon.coords(sym.apply({p: 1}))
                     slot = img.setdefault(tuple(sorted(h[a:])), {})
                     for r, x in pc.items():
                         slot[r] = slot.get(r, 0) + c * x
-                images.append(img)
+                images.append(
+                    {suffix: {r: x for r, x in slot.items() if x} for suffix, slot in img.items()}
+                )
             self._images[i] = images
         return self._images[i]
 
-    def differential(self, i: int, k: int):
-        """Matrix of the i-th differential on the degree-k slice, in the
-        realized bases (target coordinates x source coordinates).  The
-        generator image of s, times the tail u, lands at the tails
-        suffix + u."""
+    def differential_columns(self, i: int, k: int) -> list:
+        """Sparse columns of the i-th differential on the degree-k slice, in
+        the realized bases.  The column of s (x) sym(u) is the generator
+        image of s with every suffix merged into the tail u; distinct
+        suffixes give distinct merged tails, so entries never collide."""
         if not 1 <= i <= self.m:
             raise ValueError(f"differential index {i} outside 1..{self.m}")
         key = (i, k)
-        if key not in self._diff:
+        if key not in self._cols:
             src = self.space(i, k)
             tgt = self.space(i - 1, k)
-            mat = mat_zero(0 if tgt is None else tgt.dim, 0 if src is None else src.dim)
-            if src is not None and tgt is not None:
-                n_src, n_tgt = len(src.multisets), len(tgt.multisets)
-                for s, img in enumerate(self.generator_images(i)):
-                    for j, u in enumerate(src.multisets):
-                        col = s * n_src + j
+            cols = []
+            if src is not None:  # then tgt is not None either: d_{i-1} < d_i
+                n_tgt = len(tgt.multisets)
+                for img in self.generator_images(i):
+                    for u in src.multisets:
+                        col = {}
                         for suffix, coeffs in img.items():
                             t = tgt.tail_index[tuple(sorted(suffix + u))]
                             for r, x in coeffs.items():
-                                mat[r * n_tgt + t][col] += x
-                if mat_is_zero(mat) and k == self.d[i] and src.dim and tgt.dim:
+                                col[r * n_tgt + t] = x
+                        cols.append(col)
+                if k == self.d[i] and tgt.dim and cols and not any(cols):
                     raise ZeroMapError(
                         f"differential {i} vanished at its generator slice {k}"
                     )
-            self._diff[key] = mat
-        return self._diff[key]
+            self._cols[key] = cols
+        return self._cols[key]
+
+    def differential(self, i: int, k: int):
+        """Matrix of the i-th differential on the degree-k slice, in the
+        realized bases (target coordinates x source coordinates)."""
+        cols = self.differential_columns(i, k)
+        return _dense(cols, self.slice_dim(i - 1, k))
+
+    def times_var(self, i: int, k: int, var: int) -> list:
+        """Multiplication by the var-th basis variable, (F_i)_k ->
+        (F_i)_{k+1}, as an index map: s (x) sym(u) goes to s (x) sym(u +
+        var), so basis vector number n goes to number out[n] with
+        coefficient 1.  The map is injective."""
+        src = self.space(i, k)
+        if src is None:
+            return []
+        tgt = self.space(i, k + 1)
+        n_tgt = len(tgt.multisets)
+        tails = [tgt.tail_index[tuple(sorted(u + (var,)))] for u in src.multisets]
+        return [s * n_tgt + t for s in range(src.schur.dim) for t in tails]
 
     def multiplication(self, i: int, k: int, var: int):
         """Matrix of multiplication by the var-th basis variable,
-        (F_i)_k -> (F_i)_{k+1}: s (x) sym(u) goes to s (x) sym(u + var)."""
-        src = self.space(i, k)
-        tgt = self.space(i, k + 1)
-        mat = mat_zero(0 if tgt is None else tgt.dim, 0 if src is None else src.dim)
-        if src is not None:
-            n_src, n_tgt = len(src.multisets), len(tgt.multisets)
-            for s in range(src.schur.dim):
-                for j, u in enumerate(src.multisets):
-                    t = tgt.tail_index[tuple(sorted(u + (var,)))]
-                    mat[s * n_tgt + t][s * n_src + j] = Fraction(1)
-        return mat
+        (F_i)_k -> (F_i)_{k+1}."""
+        cols = [{r: Fraction(1)} for r in self.times_var(i, k, var)]
+        return _dense(cols, self.slice_dim(i, k + 1))
 
-    def letter_action(self, i: int, k: int, g) -> list:
-        """Matrix of the permutation g of basis letters on (F_i)_k:
+    def letter_action_columns(self, i: int, k: int, g) -> list:
+        """Sparse columns of the permutation g of basis letters on (F_i)_k:
         s (x) sym(u) goes to g(s) (x) sym(g(u)), and g(s) is reduced to
         Schur coordinates once per basis vector."""
         sp = self.space(i, k)
         if sp is None:
             return []
         schur = sp.schur
-        moved = [
-            schur.echelon.coords({tuple(g[x] for x in h): c for h, c in s.items()})
-            for s in schur.basis
-        ]
         n = len(sp.multisets)
-        mat = mat_zero(sp.dim, sp.dim)
-        for s, coeffs in enumerate(moved):
-            for j, u in enumerate(sp.multisets):
-                t = sp.tail_index[tuple(sorted(g[x] for x in u))]
-                for r, x in coeffs.items():
-                    mat[r * n + t][s * n + j] = x
-        return mat
+        tails = [sp.tail_index[tuple(sorted(g[x] for x in u))] for u in sp.multisets]
+        cols = []
+        for s in schur.basis:
+            coeffs = schur.echelon.coords({tuple(g[x] for x in h): c for h, c in s.items()})
+            for t in tails:
+                cols.append({r * n + t: x for r, x in coeffs.items()})
+        return cols
+
+    def letter_action(self, i: int, k: int, g) -> list:
+        """Matrix of the permutation g of basis letters on (F_i)_k."""
+        return _dense(self.letter_action_columns(i, k, g), self.slice_dim(i, k))
 
 
 # ---------------------------------------------------------------------------
@@ -541,8 +641,8 @@ def verify_dsquared(d, k_max: int, limit: int | None = None, lab: SliceLab | Non
     bad = []
     for i in range(2, lab.m + 1):
         for k in range(lab.d[0], k_max + 1):
-            prod_mat = mat_mul(lab.differential(i - 1, k), lab.differential(i, k))
-            if not mat_is_zero(prod_mat):
+            d_low, d_high = lab.differential_columns(i - 1, k), lab.differential_columns(i, k)
+            if any(mul_columns(d_low, d_high)):
                 bad.append((i, k))
     return not bad, bad
 
@@ -554,23 +654,26 @@ def equivariance_spotcheck(d, i: int, k: int, g, lab: SliceLab | None = None) ->
     g = tuple(g)
     if sorted(g) != list(range(lab.m)):
         raise ValueError(f"{g} is not a permutation of 0..{lab.m - 1}")
-    mat = lab.differential(i, k)
-    src = lab.letter_action(i, k, g)
-    tgt = lab.letter_action(i - 1, k, g)
-    return mat_mul(mat, src) == mat_mul(tgt, mat)
+    mat = lab.differential_columns(i, k)
+    src = lab.letter_action_columns(i, k, g)
+    tgt = lab.letter_action_columns(i - 1, k, g)
+    return mul_columns(mat, src) == mul_columns(tgt, mat)
 
 
 def check_a_linearity(lab: SliceLab, i: int, k: int) -> bool:
     """Multiplication by each variable commutes with the differential between
     slices k and k+1; this is what glues the slice matrices into one map of
-    free modules."""
-    d_k = lab.differential(i, k)
-    d_k1 = lab.differential(i, k + 1)
+    free modules.  Multiplication by x_v sends basis vectors injectively to
+    basis vectors, so d_{k+1} x_v = x_v d_k says: column x_v(c) of d_{k+1}
+    is column c of d_k with every row r moved to x_v(r)."""
+    d_k = lab.differential_columns(i, k)
+    d_k1 = lab.differential_columns(i, k + 1)
     for var in range(lab.m):
-        lhs = mat_mul(d_k1, lab.multiplication(i, k, var))
-        rhs = mat_mul(lab.multiplication(i - 1, k, var), d_k)
-        if lhs != rhs:
-            return False
+        src = lab.times_var(i, k, var)
+        tgt = lab.times_var(i - 1, k, var)
+        for c, col in enumerate(d_k):
+            if d_k1[src[c]] != {tgt[r]: x for r, x in col.items()}:
+                return False
     return True
 
 
@@ -639,7 +742,7 @@ def verify_exactness(
     slices_exact = {}
     hf_ok = True
     for k in range(d[0], k_max + 1):
-        ranks = [mat_rank(lab.differential(i, k)) for i in range(1, m + 1)]
+        ranks = [mat_rank(lab.differential_columns(i, k)) for i in range(1, m + 1)]
         data = {"ranks": tuple(ranks)}
         ok = True
         for i in range(1, m + 1):
@@ -681,8 +784,6 @@ def verify_exactness(
 
     equi_ok = True
     if spotcheck_perms:
-        import random
-
         rng = random.Random(20260826)
         perms = [tuple(rng.sample(range(m), m)) for _ in range(spotcheck_perms)]
         for g in perms:

@@ -382,6 +382,13 @@ def hilbert_M_strips(d, k: int) -> int:
     return sum(dim_gl(mu, m) for mu in _strip_weights(d, k))
 
 
+# Largest degree span top - d_0 whose Hilbert function module_profile
+# builds, one Pieri expansion per degree.  (0, 1, 200) takes about 0.5 s and
+# (0, 1, 1000) about 50 s; the `tables` inputs have spans up to 23 and the
+# published rays 4 to 6.
+PROFILE_SPAN_LIMIT = 100
+
+
 @dataclass(frozen=True)
 class ModuleProfile:
     d: tuple[int, ...]
@@ -399,6 +406,10 @@ def module_profile(d) -> ModuleProfile:
     d = check_degrees(d)
     m = len(d) - 1
     top = alpha(d, 1)[0] - 1
+    if top - d[0] > PROFILE_SPAN_LIMIT:
+        raise ResourceLimitError(
+            f"module profile spans degrees {d[0]}..{top}, more than {PROFILE_SPAN_LIMIT}"
+        )
     hf = {k: hilbert_M_strips(d, k) for k in range(d[0], top + 1)}
     top_strips = _strip_weights(d, top)
     if len(top_strips) != 1:

@@ -1,7 +1,7 @@
 """Independent brute-force oracles used by the tests: semistandard tableau
 enumeration for (skew) Schur module dimensions, kept deliberately separate
-from the library's formulas, and a word-level realization of the slice
-complex for the exactness lab."""
+from the library's formulas, dense Gauss-Jordan rank, and a word-level
+realization of the slice complex for the exactness lab."""
 
 from fractions import Fraction
 from itertools import product
@@ -49,6 +49,31 @@ def count_ssyt(outer, inner, n: int) -> int:
         return total
 
     return fill(0)
+
+
+def dense_rank(a) -> int:
+    """Rank of a dense matrix (list of rows) by Gauss-Jordan elimination over
+    Fraction, column by column with the first nonzero row as pivot."""
+    if not a or not a[0]:
+        return 0
+    m = [row[:] for row in a]
+    rows, cols = len(m), len(m[0])
+    rank = 0
+    for col in range(cols):
+        piv = next((r for r in range(rank, rows) if m[r][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = 1 / Fraction(m[rank][col])
+        m[rank] = [x * inv for x in m[rank]]
+        for r in range(rows):
+            if r != rank and m[r][col]:
+                c = m[r][col]
+                m[r] = [x - c * y for x, y in zip(m[r], m[rank])]
+        rank += 1
+        if rank == rows:
+            break
+    return rank
 
 
 def random_partition(rng, max_part: int, max_len: int):

@@ -162,3 +162,9 @@ class TestHostileInputs:
         code, out = run(capsys, *argv)
         assert code == 3
         assert out == ""
+
+    @pytest.mark.parametrize("d", ["0,1000000000", "0,1,1000000"])
+    def test_huge_profile_span_is_a_resource_limit(self, capsys, d):
+        code, out = run(capsys, "profile", "--d", d)
+        assert code == 3
+        assert out == ""

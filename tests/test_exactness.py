@@ -3,6 +3,8 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pureres.exactness import (
     DimLimitError,
@@ -25,7 +27,9 @@ from pureres.exactness import (
 from pureres.partitions import dim_gl
 from pureres.resolutions import betti_F, hilbert_M_strips
 
-from oracles import WordSlices, random_partition
+from oracles import WordSlices, dense_rank, random_partition
+
+CORPUS = ((0, 1, 2, 3), (0, 2), (0, 1, 3), (0, 2, 3), (0, 2, 3, 4), (0, 1, 2, 4))
 
 
 class TestSymmetrizer:
@@ -121,6 +125,52 @@ class TestMatrixHelpers:
         assert mat_is_zero(mat_mul(a, b))
 
 
+def matrix(entry, rows: int, cols: int):
+    row = st.lists(entry, min_size=cols, max_size=cols)
+    return st.lists(row, min_size=rows, max_size=rows)
+
+
+@st.composite
+def rational_matrices(draw):
+    """Dense rational matrices, up to 7 x 7: sparse, dense, or a product of
+    dense factors through a narrow middle (low rank, heavy fill-in), with
+    some rows and columns then set to zero."""
+    rows, cols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    nonzero = st.builds(Fraction, st.sampled_from([-3, -2, -1, 1, 2, 3]), st.integers(1, 4))
+    kind = draw(st.sampled_from(["sparse", "dense", "product"]))
+    if kind == "product":
+        inner = draw(st.integers(0, 3))
+        b = draw(matrix(nonzero, rows, inner))
+        c = draw(matrix(nonzero, inner, cols))
+        a = [
+            [sum((b[r][q] * c[q][j] for q in range(inner)), Fraction(0)) for j in range(cols)]
+            for r in range(rows)
+        ]
+    else:
+        entry = nonzero if kind == "dense" else st.one_of(st.just(Fraction(0)), nonzero)
+        a = draw(matrix(entry, rows, cols))
+    for r in draw(st.sets(st.integers(0, max(rows - 1, 0)), max_size=2)) if rows else ():
+        a[r] = [Fraction(0)] * cols
+    for j in draw(st.sets(st.integers(0, max(cols - 1, 0)), max_size=2)) if cols else ():
+        for row in a:
+            row[j] = Fraction(0)
+    return a
+
+
+class TestSparseRank:
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(rational_matrices())
+    @example([])
+    @example([[], []])
+    @example([[Fraction(0)] * 3] * 2)
+    def test_matches_dense_reference(self, a):
+        ref = dense_rank(a)
+        assert mat_rank(a) == ref
+        ncols = len(a[0]) if a else 0
+        cols = [{r: row[j] for r, row in enumerate(a) if row[j]} for j in range(ncols)]
+        assert mat_rank(cols) == ref
+
+
 class TestRealizeSchur:
     def test_dims_small(self):
         for m in (1, 2, 3):
@@ -195,6 +245,70 @@ class TestWordLevelOracle:
                     assert lab.multiplication(i, k, var) == ref.multiplication(
                         i, k, var
                     ), ("x", i, k, var)
+
+
+class TestCheapChecksCatchMutation:
+    """One corrupted entry of a cached differential must fail d^2 = 0,
+    A-linearity and equivariance, which all read the cached columns."""
+
+    D = (0, 1, 2, 3)
+    DIFF, SLICE = 2, 3  # the corrupted map d_2 and its slice degree
+
+    def mutated_lab(self):
+        lab = SliceLab(self.D)
+        col, r = next(
+            (col, r)
+            for col in lab.differential_columns(self.DIFF, self.SLICE)
+            for r, x in col.items()
+            if x != -1
+        )
+        col[r] += 1
+        return lab
+
+    def test_clean_lab_passes(self):
+        lab = SliceLab(self.D)
+        assert verify_dsquared(self.D, self.SLICE + 1, lab=lab) == (True, [])
+        assert check_a_linearity(lab, self.DIFF, self.SLICE - 1)
+        assert check_a_linearity(lab, self.DIFF, self.SLICE)
+        for g in permutations(range(3)):
+            assert equivariance_spotcheck(self.D, self.DIFF, self.SLICE, g, lab=lab)
+
+    def test_a_linearity(self):
+        lab = self.mutated_lab()
+        assert not all(check_a_linearity(lab, self.DIFF, k) for k in (self.SLICE - 1, self.SLICE))
+
+    def test_dsquared(self):
+        ok, bad = verify_dsquared(self.D, self.SLICE + 1, lab=self.mutated_lab())
+        assert not ok
+        assert set(bad) <= {(self.DIFF, self.SLICE), (self.DIFF + 1, self.SLICE)} and bad
+
+    def test_equivariance(self):
+        lab = self.mutated_lab()
+        assert not all(
+            equivariance_spotcheck(self.D, self.DIFF, self.SLICE, g, lab=lab)
+            for g in permutations(range(3))
+        )
+
+
+class TestNoFloats:
+    """The lab computes over Z and Q only: every coefficient it stores is an
+    int or a Fraction, never a float."""
+
+    @pytest.mark.parametrize("d", CORPUS)
+    def test_exact_types(self, d):
+        def exact(values):
+            return all(type(x) in (int, Fraction) for x in values)
+
+        lab = SliceLab(d)
+        m = len(d) - 1
+        for i in range(m + 1):
+            schur = lab.schur(i)
+            assert all(exact(v.values()) for v in schur.basis)
+            for _, vec, combo in schur.echelon._pivots:
+                assert exact(vec.values()) and exact(combo.values())
+        for k in range(d[0], d[-1] + 3):
+            for i in range(1, m + 1):
+                assert all(exact(col.values()) for col in lab.differential_columns(i, k))
 
 
 class TestCertificates:

@@ -6,6 +6,7 @@ import pytest
 from pureres.partitions import conjugate, dim_gl, dim_super, trim
 from pureres.resolutions import (
     DET_DIM_LIMIT,
+    PROFILE_SPAN_LIMIT,
     AmbiguousSocleError,
     NotIntegralError,
     NotOnRayError,
@@ -190,6 +191,13 @@ class TestHilbert:
                 pytest.fail(f"ambiguous socle for {d}")
             assert p.socle_dim == betti_F(d).ranks[-1]
             assert hilbert_M_strips(d, p.top_degree + 1) == 0
+
+    def test_profile_span_limit(self):
+        # for d = (0, e) the module lives in degrees 0..e - 1
+        p = module_profile((0, PROFILE_SPAN_LIMIT + 1))
+        assert p.top_degree == PROFILE_SPAN_LIMIT
+        with pytest.raises(ResourceLimitError):
+            module_profile((0, PROFILE_SPAN_LIMIT + 2))
 
 
 class TestDuality:
