@@ -7,7 +7,8 @@ arithmetic is exact; no floats anywhere.
 
 from __future__ import annotations
 
-from math import comb
+from functools import lru_cache
+from math import comb, factorial, prod
 
 
 def trim(parts) -> tuple[int, ...]:
@@ -65,6 +66,56 @@ def is_horizontal_strip(outer, inner) -> bool:
     )
 
 
+def _weyl_numerator(shifted) -> int:
+    """prod_{a<b} (l_a - l_b) over the shifted parts l_i = lam_i + m - i."""
+    num = 1
+    for a, la in enumerate(shifted):
+        for lb in shifted[a + 1 :]:
+            num *= la - lb
+    return num
+
+
+@lru_cache(maxsize=128)
+def _weyl_denominator(m: int) -> int:
+    """prod_{a<b<m} (b - a) = prod_{i<m} i!, the Weyl denominator of GL_m."""
+    return prod(factorial(i) for i in range(m))
+
+
+def _strips(lam, e: int, m: int, cap: int) -> list[tuple[tuple[int, ...], int]]:
+    """(shifted parts l_i = mu_i + m - i, Weyl numerator prod_{a<b} (l_a - l_b))
+    of every mu with at most m rows and mu_1 <= cap such that mu/lam is a
+    horizontal strip of size e, in lexicographic descending order of mu.
+    lam is a partition with at most m nonzero parts, e >= 0, cap >= lam_1.
+
+    Rows are filled top to bottom, one row for all prefixes at a time.  Row
+    i > 0 (0-based) takes at most lam_{i-1} - lam_i boxes, row 0 at most
+    cap - lam_0, and each row takes at least what the rows below it cannot
+    hold, so every prefix kept completes to a strip.  The numerator grows
+    by one row's factors prod_{a<i} (l_a - l_i) at a time.
+    """
+    lam = tuple(lam) + (0,) * (m - len(lam))
+    room = [cap - lam[0]] + [lam[i - 1] - lam[i] for i in range(1, m)] if m else []
+    if e > sum(room):
+        return []
+    below = [0] * m  # boxes the rows after row i can hold
+    for i in range(m - 2, -1, -1):
+        below[i] = below[i + 1] + room[i + 1]
+    level = [((), e, 1)]  # (shifted parts so far, boxes left, numerator so far)
+    for i in range(m):
+        base, most, below_i = lam[i] + m - i, room[i], below[i]
+        grown = []
+        for shifted, left, num in level:
+            fewest = left - below_i if left > below_i else 0
+            for x in range(left if left < most else most, fewest - 1, -1):
+                l_i = base + x
+                f = num
+                for l_a in shifted:
+                    f *= l_a - l_i
+                grown.append((shifted + (l_i,), left - x, f))
+        level = grown
+    return [(shifted, num) for shifted, _, num in level]
+
+
 def pieri_expand(lam, e: int, max_rows: int) -> list[tuple[int, ...]]:
     """All mu with at most max_rows rows such that mu/lam is a horizontal
     strip of size e, in lexicographic descending order.
@@ -77,21 +128,22 @@ def pieri_expand(lam, e: int, max_rows: int) -> list[tuple[int, ...]]:
         raise ValueError(f"{lam} has more than {max_rows} nonzero parts")
     if e < 0:
         return []
-    out: list[tuple[int, ...]] = []
+    return [
+        trim(tuple(l - max_rows + i for i, l in enumerate(shifted)))
+        for shifted, _ in _strips(lam, e, max_rows, part(lam, 0) + e)
+    ]
 
-    def grow(i: int, prefix: list[int], remaining: int) -> None:
-        if i == max_rows:
-            if remaining == 0:
-                out.append(trim(prefix))
-            return
-        lo = part(lam, i)
-        hi = part(lam, 0) + e if i == 0 else min(part(lam, i - 1), prefix[-1])
-        hi = min(hi, lo + remaining)
-        for mu_i in range(hi, lo - 1, -1):
-            grow(i + 1, prefix + [mu_i], remaining - (mu_i - lo))
 
-    grow(0, [], e)
-    return out
+def pieri_dim(lam, e: int, m: int, cap: int) -> int:
+    """Sum of dim S_mu(E), dim E = m, over the strips mu of
+    pieri_expand(lam, e, m) with mu_1 <= cap; lam must be a partition with
+    at most m nonzero parts and cap >= lam_1."""
+    if e < 0:
+        return 0
+    total = sum(num for _, num in _strips(lam, e, m, cap))
+    q, r = divmod(total, _weyl_denominator(m))
+    assert r == 0
+    return q
 
 
 def dim_gl(lam, m: int) -> int:
@@ -102,21 +154,15 @@ def dim_gl(lam, m: int) -> int:
     than m nonzero parts gives 0.
     """
     lam = tuple(lam)
-    if any(x < 0 for x in lam):
+    if lam and min(lam) < 0:
         if len(lam) > m:
             raise ValueError(f"weight {lam} longer than dimension {m}")
     else:
         lam = trim(lam)
         if len(lam) > m:
             return 0
-    padded = lam + (0,) * (m - len(lam))
-    num = 1
-    den = 1
-    for i in range(m):
-        for j in range(i + 1, m):
-            num *= padded[i] - padded[j] + j - i
-            den *= j - i
-    q, r = divmod(num, den)
+    shifted = [x + m - i for i, x in enumerate(lam)] + list(range(m - len(lam), 0, -1))
+    q, r = divmod(_weyl_numerator(shifted), _weyl_denominator(m))
     assert r == 0
     return q
 
@@ -172,16 +218,20 @@ def dim_skew(outer, inner, n: int) -> int:
     return _int_det(mat)
 
 
-def _subpartitions(lam, max_rows: int):
-    """All mu contained in lam with at most max_rows nonzero parts."""
+def _subpartitions(lam, max_rows: int, n: int):
+    """All mu inside lam with at most max_rows nonzero parts such that
+    lam/mu has at most n boxes in every row."""
     lam = trim(lam)
+    rows = min(len(lam), max_rows)
+    if any(x > n for x in lam[rows:]):
+        return
 
     def grow(i: int, prefix: list[int]):
-        if i == min(len(lam), max_rows):
+        if i == rows:
             yield trim(prefix)
             return
         hi = min(lam[i], prefix[-1]) if i > 0 else lam[0]
-        for mu_i in range(hi, -1, -1):
+        for mu_i in range(hi, max(lam[i] - n, 0) - 1, -1):
             yield from grow(i + 1, prefix + [mu_i])
 
     yield from grow(0, [])
@@ -192,16 +242,25 @@ def dim_super(lam, m: int, n: int) -> int:
     graded space: sum over mu inside lam of
     dim S_mu(V0) * dim S_{lam'/mu'}(V1).
 
-    Zero exactly when lam does not fit in the (m, n) hook.
+    The odd factor s_{lam'/mu'}(1^n) is the dual Jacobi-Trudi determinant
+    det e_{lam_i - mu_j - i + j}(1^n), with e_k(1^n) = C(n, k), of size
+    len(lam); it vanishes when a row of lam/mu holds more than n boxes, so
+    those mu are skipped.  Zero exactly when lam does not fit in the (m, n)
+    hook.
     """
     lam = check_partition(lam)
-    lam_c = conjugate(lam)
+    if m < 0 or n < 0:
+        raise ValueError(f"graded dimension ({m}, {n}) has a negative part")
+    ell = len(lam)
+    binom = [comb(n, k) for k in range(n + 1)]
     total = 0
-    for mu in _subpartitions(lam, m):
-        d0 = dim_gl(mu, m)
-        if d0 == 0:
-            continue
-        total += d0 * dim_skew(lam_c, conjugate(mu), n)
+    for mu in _subpartitions(lam, m, n):
+        cols = [part(mu, j) - j for j in range(ell)]
+        odd = _int_det(
+            [[binom[k] if 0 <= (k := lam[i] - i - c) <= n else 0 for c in cols] for i in range(ell)]
+        )
+        if odd:
+            total += dim_gl(mu, m) * odd
     return total
 
 

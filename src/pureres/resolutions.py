@@ -18,10 +18,10 @@ from .partitions import (
     check_partition,
     conjugate,
     complement_in_rectangle,
-    contains,
     dim_gl,
     dim_super,
     part,
+    pieri_dim,
     pieri_expand,
     trim,
 )
@@ -72,23 +72,31 @@ def degrees(e) -> tuple[int, ...]:
     return check_degrees(out)
 
 
+def _base_weight(e) -> list[int]:
+    """Base weight from the difference sequence: lambda_i = e_0 +
+    sum_{j>i} (e_j - 1), i = 1..m, built from the bottom row up."""
+    lam = [e[0]] * (len(e) - 1)
+    for j in range(len(e) - 3, -1, -1):
+        lam[j] = lam[j + 1] + e[j + 2] - 1
+    return lam
+
+
 def base_weight(d) -> tuple[int, ...]:
     """The weight of the 0-th term: lambda_i = e_0 + sum_{j>i} (e_j - 1)."""
-    e = diffs(d)
-    m = len(d) - 1
-    lam = [e[0] + sum(e[j] - 1 for j in range(i + 1, m + 1)) for i in range(1, m + 1)]
-    return tuple(lam)
+    return tuple(_base_weight(diffs(d)))
 
 
 def alpha(d, i: int) -> tuple[int, ...]:
     """Weight of the i-th term: the first i parts of the base weight grow by
     e_1, ..., e_i respectively."""
     e = diffs(d)
-    m = len(d) - 1
+    m = len(e) - 1
     if not 0 <= i <= m:
         raise ValueError(f"index {i} outside 0..{m}")
-    lam = base_weight(d)
-    return tuple(lam[j] + (e[j + 1] if j < i else 0) for j in range(m))
+    lam = _base_weight(e)
+    for j in range(i):
+        lam[j] += e[j + 1]
+    return tuple(lam)
 
 
 def gamma(d, i: int) -> tuple[int, ...]:
@@ -110,8 +118,8 @@ def gamma(d, i: int) -> tuple[int, ...]:
 
 
 # Largest dim F the determinantal construction accepts.  The cost of the
-# weights and Weyl dimensions grows about as dim_f^4: betti_H takes about
-# 0.5 s at 200 and over 100 s at 1000, and gamma() alone allocates a list
+# weights and Weyl dimensions grows about as dim_f^4: betti_H takes
+# 0.1-0.2 s at 200 and 2.5-3 s at 400, and gamma() alone allocates a list
 # of dim_f - 1 parts.
 DET_DIM_LIMIT = 200
 
@@ -169,12 +177,15 @@ def betti_F(d) -> BettiTable:
     dim E = m: the i-th term is generated in degree d_i by the Schur module
     of weight alpha(d, i)."""
     d = check_degrees(d)
+    e = diffs(d)
     m = len(d) - 1
-    rows = tuple(
-        BettiRow(i=i, twist=d[i], weight=trim(alpha(d, i)), rank=dim_gl(alpha(d, i), m))
-        for i in range(m + 1)
-    )
-    return BettiTable(kind="F", d=d, rows=rows, params={"m": m})
+    weight = _base_weight(e)  # alpha(d, i) once its first i parts have grown
+    rows = []
+    for i in range(m + 1):
+        if i:
+            weight[i - 1] += e[i]
+        rows.append(BettiRow(i=i, twist=d[i], weight=trim(weight), rank=dim_gl(weight, m)))
+    return BettiTable(kind="F", d=d, rows=tuple(rows), params={"m": m})
 
 
 def betti_H(d) -> BettiTable:
@@ -365,28 +376,46 @@ def hilbert_M_euler(d, k: int) -> int:
 
 def _strip_weights(d, k: int) -> list[tuple[int, ...]]:
     """Pieri constituents of the degree-k slice of the 0-th term that survive
-    to the resolved module: strips over the base weight avoiding alpha(d,1)."""
+    to the resolved module: strips over the base weight avoiding alpha(d,1),
+    which are those with mu_1 < lam_1 + e_1 (see hilbert_M_strips)."""
     d = check_degrees(d)
-    m = len(d) - 1
     if k < d[0]:
         return []
-    lam = base_weight(d)
-    avoid = alpha(d, 1)
-    return [mu for mu in pieri_expand(lam, k - d[0], m) if not contains(mu, avoid)]
+    e = diffs(d)
+    lam = _base_weight(e)
+    cap = lam[0] + e[1] - 1
+    return [mu for mu in pieri_expand(lam, k - d[0], len(d) - 1) if part(mu, 0) <= cap]
 
 
 def hilbert_M_strips(d, k: int) -> int:
     """Hilbert function of the resolved module by direct representation
-    bookkeeping: sum of dim S_mu(E) over the surviving Pieri strips."""
-    m = len(d) - 1
-    return sum(dim_gl(mu, m) for mu in _strip_weights(d, k))
+    bookkeeping: sum of dim S_mu(E) over the surviving Pieri strips.  Every
+    strip mu contains the base weight lam, so mu contains alpha(d, 1)
+    exactly when mu_1 >= lam_1 + e_1; the survivors are the strips with
+    mu_1 <= lam_1 + e_1 - 1."""
+    d = check_degrees(d)
+    if k < d[0]:
+        return 0
+    e = diffs(d)
+    lam = _base_weight(e)
+    return pieri_dim(lam, k - d[0], len(d) - 1, lam[0] + e[1] - 1)
 
 
 # Largest degree span top - d_0 whose Hilbert function module_profile
-# builds, one Pieri expansion per degree.  (0, 1, 200) takes about 0.5 s and
-# (0, 1, 1000) about 50 s; the `tables` inputs have spans up to 23 and the
-# published rays 4 to 6.
+# builds, one hilbert_M_strips call per degree.  The strip limit below
+# bounds the enumeration; this one bounds the number of degrees, which for
+# m = 1 is the whole cost.  (0, 1, 200) takes about 3 ms and (0, 1, 1000)
+# about 10 ms; the `tables` inputs have spans up to 23 and the published
+# rays 4 to 6.
 PROFILE_SPAN_LIMIT = 100
+
+# Largest strip count times m^2 that module_profile accepts.  Over all
+# degrees M(d) has exactly prod_{i>=1} e_i Pieri strips, and each is built
+# through m rows of up to m Weyl factors.  At the limit it takes 0.26-0.42 s
+# ((0,10,20,45,95), and m = 10 with every e_i in {1, 2, 5}); m = 72 with
+# 4096 strips (21e6) took 8.5 s.  `tables` inputs reach 6^5 * 5^2 = 194400,
+# the CLI examples 900.
+PROFILE_STRIP_LIMIT = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -409,6 +438,12 @@ def module_profile(d) -> ModuleProfile:
     if top - d[0] > PROFILE_SPAN_LIMIT:
         raise ResourceLimitError(
             f"module profile spans degrees {d[0]}..{top}, more than {PROFILE_SPAN_LIMIT}"
+        )
+    strips = prod(diffs(d)[1:])
+    if strips * m * m > PROFILE_STRIP_LIMIT:
+        raise ResourceLimitError(
+            f"module profile needs {strips} strips over {m} rows:"
+            f" {strips * m * m} > limit {PROFILE_STRIP_LIMIT} on strips x m^2"
         )
     hf = {k: hilbert_M_strips(d, k) for k in range(d[0], top + 1)}
     top_strips = _strip_weights(d, top)

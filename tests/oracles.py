@@ -1,7 +1,9 @@
 """Independent brute-force oracles used by the tests: semistandard tableau
 enumeration for (skew) Schur module dimensions, kept deliberately separate
-from the library's formulas, dense Gauss-Jordan rank, and a word-level
-realization of the slice complex for the exactness lab."""
+from the library's formulas, horizontal strips by search over a box, the
+strip-filter form of the Hilbert function and the tableau form of super
+dimensions, dense Gauss-Jordan rank, and a word-level realization of the
+slice complex for the exactness lab."""
 
 from fractions import Fraction
 from itertools import product
@@ -13,8 +15,16 @@ from pureres.exactness import (
     sym_tensor,
     symmetrize_trailing,
 )
-from pureres.partitions import part, trim
-from pureres.resolutions import alpha
+from pureres.partitions import (
+    conjugate,
+    contains,
+    dim_gl,
+    is_horizontal_strip,
+    part,
+    pieri_expand,
+    trim,
+)
+from pureres.resolutions import alpha, base_weight
 
 
 def count_ssyt(outer, inner, n: int) -> int:
@@ -49,6 +59,50 @@ def count_ssyt(outer, inner, n: int) -> int:
         return total
 
     return fill(0)
+
+
+def brute_strips(lam, e: int, m: int) -> list:
+    """Every mu with at most m rows such that mu/lam is a horizontal strip
+    of size e: all weakly decreasing rows in the (lam_1 + e) x m box,
+    filtered by `is_horizontal_strip`, lexicographically descending."""
+    lam = trim(lam)
+    width = part(lam, 0) + e
+    found = [
+        trim(mu)
+        for mu in product(range(width + 1), repeat=m)
+        if all(a >= b for a, b in zip(mu, mu[1:]))
+        and sum(mu) == sum(lam) + e
+        and is_horizontal_strip(mu, lam)
+    ]
+    return sorted(found, reverse=True)
+
+
+def strip_filter_hilbert(d, k: int) -> int:
+    """Hilbert function of the module resolved by the F-complex, as every
+    Pieri strip over the base weight minus those containing alpha(d, 1),
+    each weighed by its Weyl dimension."""
+    m = len(d) - 1
+    if k < d[0]:
+        return 0
+    avoid = alpha(d, 1)
+    return sum(
+        dim_gl(mu, m)
+        for mu in pieri_expand(base_weight(d), k - d[0], m)
+        if not contains(mu, avoid)
+    )
+
+
+def tableau_super_dim(lam, m: int, n: int) -> int:
+    """Super Schur dimension as sum over mu inside lam with at most m rows
+    of dim S_mu(C^m) times the number of semistandard tableaux of shape
+    lam'/mu' with entries in {1..n}."""
+    lam = trim(lam)
+    total = 0
+    for mu in product(*(range(p + 1) for p in lam)):
+        if any(a < b for a, b in zip(mu, mu[1:])) or len(trim(mu)) > m:
+            continue
+        total += dim_gl(trim(mu), m) * count_ssyt(conjugate(lam), conjugate(trim(mu)), n)
+    return total
 
 
 def dense_rank(a) -> int:

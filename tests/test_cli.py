@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -166,5 +167,13 @@ class TestHostileInputs:
     @pytest.mark.parametrize("d", ["0,1000000000", "0,1,1000000"])
     def test_huge_profile_span_is_a_resource_limit(self, capsys, d):
         code, out = run(capsys, "profile", "--d", d)
+        assert code == 3
+        assert out == ""
+
+    def test_many_profile_strips_is_a_resource_limit(self, capsys):
+        # (0,20,40,60,80,100) has span 95 but 20^5 strips over 5 rows
+        t0 = time.perf_counter()
+        code, out = run(capsys, "profile", "--d", "0,20,40,60,80,100")
+        assert time.perf_counter() - t0 < 1.0
         assert code == 3
         assert out == ""

@@ -3,6 +3,8 @@ from itertools import product
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pureres.partitions import (
     check_partition,
@@ -17,7 +19,13 @@ from pureres.partitions import (
     trim,
 )
 
-from oracles import count_ssyt, random_partition
+from oracles import brute_strips, count_ssyt, random_partition, tableau_super_dim
+
+
+def partitions(max_part: int, max_len: int):
+    return st.lists(st.integers(0, max_part), max_size=max_len).map(
+        lambda parts: trim(sorted(parts, reverse=True))
+    )
 
 
 def all_partitions(max_size, max_len=None):
@@ -115,6 +123,14 @@ class TestPieri:
             assert total == dim_gl(lam, m) * comb(m + e - 1, e)
 
 
+class TestPieriOracle:
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(partitions(4, 4), st.integers(0, 5), st.integers(0, 2))
+    def test_matches_box_search(self, lam, e, extra_rows):
+        m = min(len(lam) + extra_rows, 4)
+        assert pieri_expand(lam, e, m) == brute_strips(lam, e, m)
+
+
 class TestDimGl:
     def test_goldens(self):
         assert dim_gl((2, 2), 3) == 6
@@ -197,6 +213,19 @@ class TestDimSuper:
                 for n in range(4):
                     lam_m1 = lam[m] if m < len(lam) else 0
                     assert (dim_super(lam, m, n) == 0) == (lam_m1 > n), (lam, m, n)
+
+
+class TestDimSuperOracle:
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(partitions(4, 4), st.integers(0, 3), st.integers(0, 3))
+    def test_matches_tableau_count(self, lam, m, n):
+        assert dim_super(lam, m, n) == tableau_super_dim(lam, m, n)
+
+    def test_negative_dimension_rejected(self):
+        with pytest.raises(ValueError):
+            dim_super((2, 1), 2, -1)
+        with pytest.raises(ValueError):
+            dim_super((2, 1), -1, 2)
 
 
 class TestComplement:

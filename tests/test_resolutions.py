@@ -2,11 +2,14 @@ import random
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pureres.partitions import conjugate, dim_gl, dim_super, trim
 from pureres.resolutions import (
     DET_DIM_LIMIT,
     PROFILE_SPAN_LIMIT,
+    PROFILE_STRIP_LIMIT,
     AmbiguousSocleError,
     NotIntegralError,
     NotOnRayError,
@@ -30,9 +33,10 @@ from pureres.resolutions import (
     module_profile,
     multiple_of_primitive,
     super_degree_data,
+    _strip_weights,
 )
 
-from oracles import random_degrees
+from oracles import random_degrees, strip_filter_hilbert
 
 
 class TestDegreeData:
@@ -198,6 +202,38 @@ class TestHilbert:
         assert p.top_degree == PROFILE_SPAN_LIMIT
         with pytest.raises(ResourceLimitError):
             module_profile((0, PROFILE_SPAN_LIMIT + 2))
+
+    def test_profile_strip_limit(self):
+        # M(d) has prod e_i strips in all; e = (2^5, 5^4, 1) gives
+        # 20000 * 10^2 = the limit, e = (2, 3^4, 5^3, 1, 1) 1.25% more
+        at_limit = degrees((0, 2, 2, 2, 2, 2, 5, 5, 5, 5, 1))
+        assert 20000 * 10**2 == PROFILE_STRIP_LIMIT
+        assert module_profile(at_limit).socle_dim == betti_F(at_limit).ranks[-1]
+        with pytest.raises(ResourceLimitError):
+            module_profile(degrees((0, 2, 3, 3, 3, 3, 5, 5, 5, 1, 1)))
+
+    def test_strip_count_is_product_of_gaps(self):
+        for e, count in (((0, 4, 5, 4), 80), ((1, 2, 3), 6), ((0, 1, 1, 3, 2), 6)):
+            d = degrees(e)
+            p = module_profile(d)
+            strips = sum(len(_strip_weights(d, k)) for k in range(d[0], p.top_degree + 1))
+            assert strips == count
+
+
+@st.composite
+def degree_sequences(draw):
+    gaps = draw(st.lists(st.integers(1, 5), min_size=1, max_size=4))
+    return degrees([draw(st.integers(0, 3))] + gaps)
+
+
+class TestHilbertOracle:
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(degree_sequences(), st.integers(-1, 30))
+    def test_strips_match_filter_and_euler(self, d, j):
+        top = alpha(d, 1)[0] - 1
+        k = d[0] + j % (top - d[0] + 3) - 1  # d_0 - 1 .. top + 1
+        assert hilbert_M_strips(d, k) == strip_filter_hilbert(d, k)
+        assert hilbert_M_strips(d, k) == hilbert_M_euler(d, k)
 
 
 class TestDuality:
