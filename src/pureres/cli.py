@@ -12,7 +12,7 @@ import argparse
 import sys
 
 from . import bott as bott_mod
-from . import resolutions
+from . import exactness, resolutions
 from .render import (
     _json_int,
     betti_pretty,
@@ -148,9 +148,7 @@ def _cmd_verify(args) -> int:
     d = _ints(args.d)
     if args.m is not None and args.m != len(d) - 1:
         raise ValueError(f"--m {args.m} disagrees with length of d")
-    from .exactness import verify_exactness  # the only command that needs the lab
-
-    cert = verify_exactness(d, k_max=args.kmax, limit=args.limit)
+    cert = exactness.verify_exactness(d, k_max=args.kmax, limit=args.limit)
     payload = {
         "d": list(cert.d),
         "m": cert.m,

@@ -81,7 +81,9 @@ def _weyl_denominator(m: int) -> int:
     return prod(factorial(i) for i in range(m))
 
 
-def _strips(lam, e: int, m: int, cap: int) -> list[tuple[tuple[int, ...], int]]:
+def _strips(
+    lam, e: int, m: int, cap: int, weyl: bool = True
+) -> list[tuple[tuple[int, ...], int | None]]:
     """(shifted parts l_i = mu_i + m - i, Weyl numerator prod_{a<b} (l_a - l_b))
     of every mu with at most m rows and mu_1 <= cap such that mu/lam is a
     horizontal strip of size e, in lexicographic descending order of mu.
@@ -91,7 +93,8 @@ def _strips(lam, e: int, m: int, cap: int) -> list[tuple[tuple[int, ...], int]]:
     i > 0 (0-based) takes at most lam_{i-1} - lam_i boxes, row 0 at most
     cap - lam_0, and each row takes at least what the rows below it cannot
     hold, so every prefix kept completes to a strip.  The numerator grows
-    by one row's factors prod_{a<i} (l_a - l_i) at a time.
+    by one row's factors prod_{a<i} (l_a - l_i) at a time; with weyl false
+    it is not computed and every numerator is None.
     """
     lam = tuple(lam) + (0,) * (m - len(lam))
     room = [cap - lam[0]] + [lam[i - 1] - lam[i] for i in range(1, m)] if m else []
@@ -100,7 +103,7 @@ def _strips(lam, e: int, m: int, cap: int) -> list[tuple[tuple[int, ...], int]]:
     below = [0] * m  # boxes the rows after row i can hold
     for i in range(m - 2, -1, -1):
         below[i] = below[i + 1] + room[i + 1]
-    level = [((), e, 1)]  # (shifted parts so far, boxes left, numerator so far)
+    level = [((), e, 1 if weyl else None)]  # (shifted parts, boxes left, numerator)
     for i in range(m):
         base, most, below_i = lam[i] + m - i, room[i], below[i]
         grown = []
@@ -109,8 +112,9 @@ def _strips(lam, e: int, m: int, cap: int) -> list[tuple[tuple[int, ...], int]]:
             for x in range(left if left < most else most, fewest - 1, -1):
                 l_i = base + x
                 f = num
-                for l_a in shifted:
-                    f *= l_a - l_i
+                if weyl:
+                    for l_a in shifted:
+                        f *= l_a - l_i
                 grown.append((shifted + (l_i,), left - x, f))
         level = grown
     return [(shifted, num) for shifted, _, num in level]
@@ -130,7 +134,7 @@ def pieri_expand(lam, e: int, max_rows: int) -> list[tuple[int, ...]]:
         return []
     return [
         trim(tuple(l - max_rows + i for i, l in enumerate(shifted)))
-        for shifted, _ in _strips(lam, e, max_rows, part(lam, 0) + e)
+        for shifted, _ in _strips(lam, e, max_rows, part(lam, 0) + e, weyl=False)
     ]
 
 
@@ -252,12 +256,11 @@ def dim_super(lam, m: int, n: int) -> int:
     if m < 0 or n < 0:
         raise ValueError(f"graded dimension ({m}, {n}) has a negative part")
     ell = len(lam)
-    binom = [comb(n, k) for k in range(n + 1)]
     total = 0
     for mu in _subpartitions(lam, m, n):
         cols = [part(mu, j) - j for j in range(ell)]
         odd = _int_det(
-            [[binom[k] if 0 <= (k := lam[i] - i - c) <= n else 0 for c in cols] for i in range(ell)]
+            [[comb(n, k) if (k := lam[i] - i - c) >= 0 else 0 for c in cols] for i in range(ell)]
         )
         if odd:
             total += dim_gl(mu, m) * odd

@@ -1,9 +1,16 @@
 import json
+import os
+import resource
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from pureres.cli import main, reproduction_rows
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -177,3 +184,42 @@ class TestHostileInputs:
         assert time.perf_counter() - t0 < 1.0
         assert code == 3
         assert out == ""
+
+    @pytest.mark.parametrize(
+        "argv, stdout",
+        [
+            (
+                "--construction F --lam 1 --e1 1 --m 1 --n 1000000000",
+                '{"kind":"F_super","lam":[1],"e1":1,"m":1,"n":1000000000,"d":[0,1],'
+                '"twist_convention":"absolute","rows":[{"i":0,"twist":0,"weight":[1],'
+                '"rank":1000000001},{"i":1,"twist":1,"weight":[2],"rank":500000000500000001}],'
+                '"truncated_at":1}',
+            ),
+            (
+                "--construction H --lam 1 --e1 1 --m0 1 --m1 1000000000 --u0 1 --u1 1000000000",
+                '{"kind":"H_super","lam":[1],"e1":1,"m0":1,"m1":1000000000,"u0":1,'
+                '"u1":1000000000,"d":[0,1],"twist_convention":"absolute","rows":[{"i":0,'
+                '"twist":0,"weight":[1],"rank":1000000001,"weight2":[]},{"i":1,"twist":1,'
+                '"weight":[2],"rank":"500000001000000001500000001","weight2":[1]}],'
+                '"truncated_at":1}',
+            ),
+        ],
+        ids=["F", "H"],
+    )
+    def test_huge_odd_dimension_is_fast(self, argv, stdout):
+        # The odd factor needs C(n, k) only for k <= lam_1 + len(lam).  Run in a
+        # child process under a 1 GiB address-space cap and a timeout, so that
+        # work growing with n fails the test instead of exhausting memory.
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        res = subprocess.run(
+            [sys.executable, "-m", "pureres.cli", "super", *argv.split(), "--N", "1"],
+            capture_output=True,
+            env=dict(os.environ, PYTHONPATH=path),
+            preexec_fn=cap_memory,
+            timeout=10,
+        )
+        assert res.returncode == 0, res.stderr.decode(errors="replace")
+        assert res.stdout.decode() == stdout + "\n"
