@@ -8,12 +8,25 @@ the Schur module is the image of a Young symmetrizer on the leading
 |alpha(i)| slots (`realize_schur`, an explicit basis of word vectors), and
 Sym^j is the symmetrized tensors on the trailing j slots.
 
+Filling.  The Schur modules of one degree sequence share one filling, the
+standard tableau of the chain alpha(0) < ... < alpha(m) (`chain_filling`):
+the boxes of alpha(0) row by row, then for i = 1..m the e_i boxes of
+alpha(i)/alpha(i-1) at the end of row i-1.  alpha(i) fills the first
+|alpha(i)| slots, so the i-th map moves exactly its Pieri strip into the
+tail and keeps a head filled as alpha(i-1) is (filling every module
+row-major instead made maps vanish, e.g. for (0,2,3,4,6)).  Pieri's rule
+has multiplicity one, so Hom_GL(S_alpha(i), S_alpha(i-1) (x) Sym^e_i) is
+a line: a nonzero realization of the i-th map is the Pieri map times a
+nonzero scalar, which changes no slice rank and keeps d^2 = 0,
+A-linearity and equivariance.
+
 Schur bases.  The symmetrizer (row symmetrizer, then column
 antisymmetrizer) applied to {word: 1} has integer entries.  Every
-rearrangement of a word within the rows of the filling has the same image,
-and the row-sorted one is the first of them in product order, so the
-search projects only row-sorted words and keeps the same basis as a search
-over all m^|alpha| words.
+rearrangement of a word within the rows of the filling has the same image.
+Slot numbers increase along every row of a standard filling, so the
+row-sorted rearrangement is the first of them in product order; the search
+projects only row-sorted words and keeps the same basis as a search over
+all m^|alpha| words.
 
 Symmetric tails are never expanded into their anagrams.  A slice vector is
 stored as {(head word, sorted tail multiset): c}, where c is the sum of its
@@ -58,6 +71,7 @@ from .resolutions import (
     alpha,
     betti_F,
     check_degrees,
+    diffs,
     hilbert_M_euler,
     hilbert_M_strips,
 )
@@ -76,7 +90,7 @@ class DimMismatchError(Exception):
 
 
 class ZeroMapError(Exception):
-    """A differential realization vanished identically for every filling."""
+    """A differential vanished at its generator slice (implementation bug)."""
 
 
 def tensor_limit() -> int:
@@ -97,24 +111,33 @@ def _add_scaled(acc: Vec, vec: Vec, c: Fraction) -> None:
             acc.pop(w, None)
 
 
-def _boxes(lam, order: str) -> list[tuple[int, int]]:
-    boxes = [(r, c) for r in range(len(lam)) for c in range(lam[r])]
-    if order == "column":
-        boxes.sort(key=lambda rc: (rc[1], rc[0]))
+def _boxes(lam) -> list[tuple[int, int]]:
+    return [(r, c) for r in range(len(lam)) for c in range(lam[r])]
+
+
+def chain_filling(d, i: int) -> list[tuple[int, int]]:
+    """Boxes of alpha(d, i) in the slot order of the standard tableau of the
+    chain alpha(d, 0) < alpha(d, 1) < ... < alpha(d, i): the boxes of
+    alpha(d, 0) row by row, then for j = 1..i the e_j boxes of
+    alpha(d, j)/alpha(d, j-1) at the end of row j-1.  The filling of
+    alpha(d, i-1) is the first |alpha(d, i-1)| slots of this one."""
+    e = diffs(d)
+    base = alpha(d, 0)
+    boxes = _boxes(base)
+    for j in range(1, i + 1):
+        boxes += [(j - 1, base[j - 1] + c) for c in range(e[j])]
     return boxes
 
 
-def _filling_groups(lam, order: str) -> tuple[list[list[int]], list[list[int]]]:
-    """Slot indices of each row and each column of the diagram, for the
-    canonical filling in row-major or column-major order."""
-    lam = trim(lam)
-    slot = {box: i for i, box in enumerate(_boxes(lam, order))}
-    rows = [[slot[(r, c)] for c in range(lam[r])] for r in range(len(lam))]
-    ncols = lam[0] if lam else 0
-    cols = [
-        [slot[(r, c)] for r in range(len(lam)) if lam[r] > c] for c in range(ncols)
-    ]
-    return rows, cols
+def _filling_groups(boxes) -> tuple[list[list[int]], list[list[int]]]:
+    """Slot indices of each row (left to right) and each column (top to
+    bottom) of the filling that puts boxes[s] in slot s."""
+    rows: dict = {}
+    cols: dict = {}
+    for slot, (r, c) in sorted(enumerate(boxes), key=lambda sb: sb[1]):
+        rows.setdefault(r, []).append(slot)
+        cols.setdefault(c, []).append(slot)
+    return list(rows.values()), list(cols.values())
 
 
 def _signed_perms(n: int) -> list:
@@ -126,8 +149,9 @@ def _signed_perms(n: int) -> list:
 
 
 class YoungSymmetrizer:
-    """Row symmetrizer followed by column antisymmetrizer for the canonical
-    filling of a frame, acting on the leading |lam| slots of words.
+    """Row symmetrizer followed by column antisymmetrizer for a filling of
+    a frame (`boxes[s]` is the (row, column) box of slot s; row-major by
+    default), acting on the leading |lam| slots of words.
 
     Both are sums over the slot permutations that preserve every row
     (column), taken over distinct result words: a row whose letters occur
@@ -136,9 +160,12 @@ class YoungSymmetrizer:
     swapping the two equal letters pairs its terms with opposite signs.
     Integer input coefficients give integer output."""
 
-    def __init__(self, lam, order: str = "row"):
+    def __init__(self, lam, boxes=None):
         self.lam = trim(lam)
-        rows, cols = _filling_groups(self.lam, order)
+        self.boxes = _boxes(self.lam) if boxes is None else list(boxes)
+        if sorted(self.boxes) != _boxes(self.lam):
+            raise ValueError(f"{boxes} are not the boxes of {self.lam}")
+        rows, cols = _filling_groups(self.boxes)
         self._rows = [r for r in rows if len(r) > 1]
         self._cols = [(c, _signed_perms(len(c))) for c in cols if len(c) > 1]
 
@@ -181,13 +208,8 @@ class YoungSymmetrizer:
         out: Vec = {}
         for word, c in vec.items():
             for rw, rc in self._row_terms(word):
-                for cw, cc in self._column_terms(rw):
-                    key = tuple(cw)
-                    y = out.get(key, 0) + c * rc * cc
-                    if y:
-                        out[key] = y
-                    else:
-                        out.pop(key, None)
+                # distinct column permutations give distinct words
+                _add_scaled(out, {tuple(cw): cc for cw, cc in self._column_terms(rw)}, c * rc)
         return out
 
 
@@ -221,14 +243,7 @@ def symmetrize_trailing(vec: Vec, start: int) -> Vec:
     """Average over all permutations of the slots >= start."""
     out: Vec = {}
     for w, c in vec.items():
-        head, tail = w[:start], w[start:]
-        for w2, c2 in sym_tensor(tail).items():
-            nw = head + w2
-            y = out.get(nw, 0) + c * c2
-            if y:
-                out[nw] = y
-            else:
-                out.pop(nw, None)
+        _add_scaled(out, {w[:start] + w2: c2 for w2, c2 in sym_tensor(w[start:]).items()}, c)
     return out
 
 
@@ -251,12 +266,7 @@ class SubspaceBasis:
             c = vec.get(pw)
             if c:
                 _add_scaled(vec, pv, -c)
-                for idx, x in pc.items():
-                    y = combo.get(idx, 0) + c * x
-                    if y:
-                        combo[idx] = y
-                    else:
-                        combo.pop(idx, None)
+                _add_scaled(combo, pc, c)
         return vec, combo
 
     def add(self, vec: Vec) -> bool:
@@ -372,7 +382,7 @@ def mat_is_zero(a) -> bool:
 class SchurRealization:
     lam: tuple[int, ...]
     m: int
-    order: str
+    symmetrizer: YoungSymmetrizer  # its filling orders the slots of the basis words
     basis: list  # projected vectors spanning the symmetrizer image
     echelon: SubspaceBasis  # the same vectors, echelonized for coordinates
 
@@ -381,16 +391,15 @@ class SchurRealization:
         return len(self.basis)
 
 
-def _row_sorted_words(lam, m: int, order: str) -> list:
-    """Words of length |lam| whose letters weakly increase along every row
-    of the filling, in product (lexicographic) order.  The row symmetrizer
-    gives every rearrangement of a word within rows the same image, and the
-    row-sorted one comes first among them in product order."""
-    rows, _ = _filling_groups(lam, order)
-    t = sum(len(r) for r in rows)
+def _row_sorted_words(boxes, m: int) -> list:
+    """Words of length len(boxes) whose letters weakly increase along every
+    row of the filling, in product (lexicographic) order.  The row
+    symmetrizer gives every rearrangement of a word within rows the same
+    image, and the row-sorted one comes first among them in product order."""
+    rows, _ = _filling_groups(boxes)
     words = []
     for fill in product(*(combinations_with_replacement(range(m), len(r)) for r in rows)):
-        w = [0] * t
+        w = [0] * len(boxes)
         for slots, letters in zip(rows, fill):
             for slot, x in zip(slots, letters):
                 w[slot] = x
@@ -399,7 +408,7 @@ def _row_sorted_words(lam, m: int, order: str) -> list:
     return words
 
 
-def realize_schur(lam, m: int, limit: int | None = None, order: str = "row") -> SchurRealization:
+def realize_schur(lam, m: int, limit: int | None = None, boxes=None) -> SchurRealization:
     """Basis of the Young-symmetrizer image inside E^(x)|lam|, found by
     projecting row-sorted words in product order and keeping an independent
     set; the other words repeat an earlier image, so the basis is the one a
@@ -412,10 +421,10 @@ def realize_schur(lam, m: int, limit: int | None = None, order: str = "row") -> 
     if m**t > limit:
         raise DimLimitError(f"ambient dimension {m}^{t} exceeds limit {limit}")
     target = dim_gl(lam, m)
-    sym = YoungSymmetrizer(lam, order)
+    sym = YoungSymmetrizer(lam, boxes)
     ech = SubspaceBasis()
     basis = []
-    for word in _row_sorted_words(lam, m, order):
+    for word in _row_sorted_words(sym.boxes, m):
         v = sym.apply({word: 1})
         if v and ech.add(v):
             basis.append(v)
@@ -425,7 +434,7 @@ def realize_schur(lam, m: int, limit: int | None = None, order: str = "row") -> 
         raise DimMismatchError(
             f"symmetrizer image of {lam} over dim {m} has rank {len(basis)}, expected {target}"
         )
-    return SchurRealization(lam=lam, m=m, order=order, basis=basis, echelon=ech)
+    return SchurRealization(lam=lam, m=m, symmetrizer=sym, basis=basis, echelon=ech)
 
 
 class SliceSpace:
@@ -457,14 +466,13 @@ class SliceSpace:
 
 class SliceLab:
     """Shared realization context for one degree sequence: caches Schur
-    realizations, slice spaces, generator images and the sparse columns of
-    the differentials."""
+    realizations (all in the chain filling), slice spaces, generator images
+    and the sparse columns of the differentials."""
 
-    def __init__(self, d, limit: int | None = None, order: str = "row"):
+    def __init__(self, d, limit: int | None = None):
         self.d = check_degrees(d)
         self.m = len(self.d) - 1
         self.limit = tensor_limit() if limit is None else limit
-        self.order = order
         self.table = betti_F(self.d)
         self._schur: dict = {}
         self._spaces: dict = {}
@@ -485,8 +493,9 @@ class SliceLab:
 
     def schur(self, i: int) -> SchurRealization:
         if i not in self._schur:
+            self.guard(self.d[i])  # m^|alpha(i)|, before the filling is built
             self._schur[i] = realize_schur(
-                alpha(self.d, i), self.m, self.limit, self.order
+                alpha(self.d, i), self.m, self.limit, chain_filling(self.d, i)
             )
         return self._schur[i]
 
@@ -524,7 +533,7 @@ class SliceLab:
         h[:a]; each word only adds its coefficient to its suffix's entry."""
         if i not in self._images:
             target = self.schur(i - 1)
-            sym = YoungSymmetrizer(target.lam, self.order)
+            sym = target.symmetrizer
             a = sum(target.lam)
             prefix_coords: dict = {}
             images = []
@@ -625,13 +634,8 @@ class SliceLab:
 
 
 def differential_slice(d, i: int, k: int, limit: int | None = None):
-    """Exact rational matrix of the i-th differential restricted to the
-    degree-k slice, retrying with the column-major filling if the row-major
-    realization degenerates."""
-    try:
-        return SliceLab(d, limit).differential(i, k)
-    except ZeroMapError:
-        return SliceLab(d, limit, order="column").differential(i, k)
+    """Exact rational matrix of the i-th differential on the degree-k slice."""
+    return SliceLab(d, limit).differential(i, k)
 
 
 def verify_dsquared(d, k_max: int, limit: int | None = None, lab: SliceLab | None = None):
@@ -727,16 +731,11 @@ def verify_exactness(
     m = len(d) - 1
     if k_max is None:
         k_max = d[-1] + 2
-    try:
-        lab = SliceLab(d, limit)
-        lab.guard(k_max)
-        # force realization so a degenerate filling is caught up front
-        for i in range(1, m + 1):
-            lab.differential(i, d[i])
-    except ZeroMapError:
-        lab = SliceLab(d, limit, order="column")
-        for i in range(1, m + 1):
-            lab.differential(i, d[i])
+    lab = SliceLab(d, limit)
+    lab.guard(k_max)
+    # realize every generator slice before any rank work
+    for i in range(1, m + 1):
+        lab.differential(i, d[i])
 
     failures = []
     slices_exact = {}

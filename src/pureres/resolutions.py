@@ -172,6 +172,15 @@ class BettiTable:
         return tuple(r.twist for r in self.rows)
 
 
+# Largest m (one less than the length of d) that betti_F accepts, and with
+# it hilbert_M_euler, duality_check and the exactness lab.  Each of the
+# m + 1 Weyl dimensions multiplies m(m - 1)/2 factors: on 2 cores with
+# CPython 3.11, betti_F takes about 0.06 s at m = 64 (0.17 s with gaps of
+# 1000), 0.5 s at 100, 11 s at 200 and 114 s at 300.  The `tables` inputs
+# and the CLI examples have m <= 5.
+BETTI_LENGTH_LIMIT = 64
+
+
 def betti_F(d) -> BettiTable:
     """Betti table of the length-m equivariant pure complex over Sym(E),
     dim E = m: the i-th term is generated in degree d_i by the Schur module
@@ -179,6 +188,10 @@ def betti_F(d) -> BettiTable:
     d = check_degrees(d)
     e = diffs(d)
     m = len(d) - 1
+    if m > BETTI_LENGTH_LIMIT:
+        raise ResourceLimitError(
+            f"degree sequence has m = {m} > limit {BETTI_LENGTH_LIMIT}"
+        )
     weight = _base_weight(e)  # alpha(d, i) once its first i parts have grown
     rows = []
     for i in range(m + 1):

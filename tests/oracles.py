@@ -11,6 +11,7 @@ from itertools import product
 from pureres.exactness import (
     SubspaceBasis,
     YoungSymmetrizer,
+    chain_filling,
     realize_schur,
     sym_tensor,
     symmetrize_trailing,
@@ -150,14 +151,13 @@ class WordSlices:
     """Word-level reference realization of the slice complex: every slice
     basis vector is written out over all anagrams of its tail in E^(x)N
     (`sym_tensor`), and every map is applied word by word and reduced to
-    coordinates by echelonizing the whole slice basis.  Slow but direct;
-    the library's multiset-tail matrices must agree with it entry for
-    entry."""
+    coordinates by echelonizing the whole slice basis.  Every Schur module
+    is realized in the library's chain filling.  Slow but direct; the
+    library's multiset-tail matrices must agree with it entry for entry."""
 
-    def __init__(self, d, order: str = "row"):
+    def __init__(self, d):
         self.d = tuple(d)
         self.m = len(self.d) - 1
-        self.order = order
         self._spaces: dict = {}
 
     def space(self, i: int, k: int):
@@ -166,7 +166,9 @@ class WordSlices:
         if key not in self._spaces:
             sp = None
             if k >= self.d[i]:
-                schur = realize_schur(alpha(self.d, i), self.m, order=self.order)
+                schur = realize_schur(
+                    alpha(self.d, i), self.m, boxes=chain_filling(self.d, i)
+                )
                 multisets = [
                     w
                     for w in product(range(self.m), repeat=k - self.d[i])
@@ -201,7 +203,7 @@ class WordSlices:
             rows = 0 if tgt is None else len(tgt[0])
             return [[Fraction(0)] * (0 if src is None else len(src[0])) for _ in range(rows)]
         lam = trim(alpha(self.d, i - 1))
-        sym = YoungSymmetrizer(lam, self.order)
+        sym = YoungSymmetrizer(lam, chain_filling(self.d, i - 1))
         a = sum(lam)
         return self._matrix(tgt, [sym.apply(symmetrize_trailing(v, a)) for v in src[0]])
 

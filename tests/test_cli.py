@@ -185,6 +185,14 @@ class TestHostileInputs:
         assert code == 3
         assert out == ""
 
+    def test_long_degree_sequence_is_a_resource_limit(self, capsys):
+        # betti_F took about 2 minutes at m = 300 before it had a length limit
+        t0 = time.perf_counter()
+        code, out = run(capsys, "betti", "--construction", "F", "--d", ",".join(map(str, range(301))))
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 3
+        assert out == ""
+
     @pytest.mark.parametrize(
         "argv, stdout",
         [

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,6 +11,7 @@ from pureres.exactness import (
     SliceLab,
     SubspaceBasis,
     YoungSymmetrizer,
+    chain_filling,
     differential_slice,
     check_a_linearity,
     equivariance_spotcheck,
@@ -225,11 +226,44 @@ class TestDifferentials:
             assert equivariance_spotcheck((0, 2, 3), 2, 3, g)
 
 
+class TestChainFilling:
+    """Every Schur module is filled by the standard tableau of the chain
+    alpha(0) < ... < alpha(m), and no map vanishes at its generator slice."""
+
+    def test_filling(self):
+        # d = (1, 2, 4): alpha = (2, 1), (3, 1), (3, 3)
+        assert chain_filling((1, 2, 4), 2) == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (1, 2)]
+        assert chain_filling((1, 2, 4), 1) == chain_filling((1, 2, 4), 2)[:4]
+
+    def test_map_that_vanished_row_major(self):
+        # with every module filled row-major d_1 vanished at its generator
+        # slice, and with every module filled column-major d_2, d_3 and d_4
+        d = (0, 2, 3, 4, 6)
+        lab = SliceLab(d, limit=4**9)
+        for i in (1, 2):
+            assert any(lab.differential_columns(i, d[i]))
+
+    def test_no_generator_map_vanishes(self):
+        # every d = (0, ...) with d_m <= 5; three need more than 3^8 slots
+        realized = 0
+        for m in range(1, 6):
+            for rest in combinations(range(1, 6), m):
+                d = (0,) + rest
+                lab = SliceLab(d, limit=3**8)
+                try:
+                    cols = [lab.differential_columns(i, d[i]) for i in range(1, m + 1)]
+                except DimLimitError:
+                    continue
+                assert all(any(c) for c in cols), d
+                realized += 1
+        assert realized == 28
+
+
 class TestWordLevelOracle:
     """The multiset-tail matrices equal the word-level realization entry for
     entry: same maps, same bases, so the coordinates must agree."""
 
-    @pytest.mark.parametrize("d", [(0, 1, 3), (0, 2, 3), (0, 1, 2, 3)])
+    @pytest.mark.parametrize("d", [(0, 1, 3), (0, 2, 3), (0, 1, 2, 3), (1, 2, 3), (1, 2, 4)])
     def test_matrices_match(self, d):
         lab, ref = SliceLab(d), WordSlices(d)
         m, k_max = len(d) - 1, d[-1] + 2

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from pureres.partitions import conjugate, dim_gl, dim_super, trim
 from pureres.resolutions import (
+    BETTI_LENGTH_LIMIT,
     DET_DIM_LIMIT,
     PROFILE_SPAN_LIMIT,
     PROFILE_STRIP_LIMIT,
@@ -211,6 +212,16 @@ class TestHilbert:
         assert module_profile(at_limit).socle_dim == betti_F(at_limit).ranks[-1]
         with pytest.raises(ResourceLimitError):
             module_profile(degrees((0, 2, 3, 3, 3, 3, 5, 5, 5, 1, 1)))
+
+    def test_betti_length_limit(self):
+        # hilbert_M_euler and duality_check (e = 1, ..., 1 is symmetric) go
+        # through betti_F, so they share its limit
+        at_limit = range(BETTI_LENGTH_LIMIT + 1)
+        assert len(betti_F(at_limit).rows) == BETTI_LENGTH_LIMIT + 1
+        over = range(BETTI_LENGTH_LIMIT + 2)
+        for entry in (betti_F, duality_check, lambda d: hilbert_M_euler(d, 0)):
+            with pytest.raises(ResourceLimitError):
+                entry(over)
 
     def test_strip_count_is_product_of_gaps(self):
         for e, count in (((0, 4, 5, 4), 80), ((1, 2, 3), 6), ((0, 1, 1, 3, 2), 6)):
