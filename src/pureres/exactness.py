@@ -20,13 +20,25 @@ a line: a nonzero realization of the i-th map is the Pieri map times a
 nonzero scalar, which changes no slice rank and keeps d^2 = 0,
 A-linearity and equivariance.
 
-Schur bases.  The symmetrizer (row symmetrizer, then column
-antisymmetrizer) applied to {word: 1} has integer entries.  Every
-rearrangement of a word within the rows of the filling has the same image.
-Slot numbers increase along every row of a standard filling, so the
-row-sorted rearrangement is the first of them in product order; the search
-projects only row-sorted words and keeps the same basis as a search over
-all m^|alpha| words.
+Schur bases.  The symmetrizer Y (row symmetrizer, then column
+antisymmetrizer) applied to {word: 1} has integer entries.  `realize_schur`
+projects one word per semistandard tableau of alpha with entries < m, each
+entry placed in the slot of its box: exactly dim S_alpha(E) words.  For
+the row-major filling T0 their images are independent (Fulton, Young
+Tableaux, 1997, sections 7-8).  Any other standard filling is T' = pi T0
+for a slot permutation pi; then Y_T' = pi Y_T0 pi^-1 and the box-placed
+words move by the same pi, so Y_T'(pi w) = pi Y_T0(w) and independence
+carries over.  The rank is still checked against the Weyl dimension.
+
+Schur coordinates.  Each module keeps the pivot words P of its echelon and
+an integer matrix N with a denominator D such that every vector v of im Y
+has coordinates N (v at P) / D (`SubspaceBasis.pivot_solver`).  The lab
+only asks for coordinates of vectors of im Y, so it never needs a full
+residual reduction: Y(p) is in im Y for every word p, and a permutation g
+of the letters commutes with every permutation of the slots, so
+g Y(x) = Y(g x) and g(s) is in im Y for every s in it.  The value of Y(p)
+at a pivot word w is read off a per-module table (`scaled_image`), and the
+value of g(s) at w is the value of s at g^-1(w).
 
 Symmetric tails are never expanded into their anagrams.  A slice vector is
 stored as {(head word, sorted tail multiset): c}, where c is the sum of its
@@ -47,10 +59,11 @@ The symmetrizer and the Schur coordinates are therefore needed once per
 distinct head word, not once per expanded vector.
 
 Slice matrices are about 1-2% nonzero, so the certificate keeps them as
-sparse columns, one {row: nonzero Fraction} dict per source basis vector.
-Ranks come from sparse elimination over Q, d^2 and equivariance from one
-sparse product, and A-linearity from comparing columns: multiplication by
-a variable maps basis vectors injectively to basis vectors, so it is an
+sparse columns, one {row: nonzero entry} dict per source basis vector;
+integral entries are ints, the others Fractions.  Ranks come from sparse
+fraction-free elimination over Z, d^2 and equivariance from one sparse
+product, and A-linearity from comparing columns: multiplication by a
+variable maps basis vectors injectively to basis vectors, so it is an
 index map and needs no product.  The dense matrices of `differential`,
 `multiplication` and `letter_action` are built from the same sparse
 forms.  All arithmetic is exact over Z and Q; nothing is a float.
@@ -63,7 +76,8 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
-from math import comb, factorial, prod
+from math import comb, factorial, gcd, lcm, prod
+from operator import itemgetter
 
 from .partitions import dim_gl, trim
 from .resolutions import (
@@ -98,6 +112,13 @@ def tensor_limit() -> int:
     return int(env) if env else DEFAULT_TENSOR_LIMIT
 
 
+def _exceeds(m: int, n: int, limit: int) -> bool:
+    """Does max(m, 2)^n exceed limit?  For m = 1 the ambient dimension is 1
+    at any n, while the words still have n letters.  2^n > limit once
+    n >= limit.bit_length(), so a huge n is refused without its power."""
+    return n >= limit.bit_length() or max(m, 2) ** n > limit
+
+
 # ---------------------------------------------------------------------------
 # sparse vectors and symmetrizers
 
@@ -109,6 +130,12 @@ def _add_scaled(acc: Vec, vec: Vec, c: Fraction) -> None:
             acc[w] = y
         else:
             acc.pop(w, None)
+
+
+def _ratio(x, q):
+    """x / q exactly: an int when q divides x, else a Fraction."""
+    whole, rest = divmod(x, q)
+    return whole if not rest else Fraction(x, q)
 
 
 def _boxes(lam) -> list[tuple[int, int]]:
@@ -154,63 +181,79 @@ class YoungSymmetrizer:
     default), acting on the leading |lam| slots of words.
 
     Both are sums over the slot permutations that preserve every row
-    (column), taken over distinct result words: a row whose letters occur
-    n_1, n_2, ... times yields each distinct rearrangement n_1! n_2! ...
-    times, and a column with a repeated letter contributes nothing, since
-    swapping the two equal letters pairs its terms with opposite signs.
-    Integer input coefficients give integer output."""
+    (column).  The row sum is taken over distinct result words: a row
+    whose letters occur n_1, n_2, ... times yields each distinct
+    rearrangement n_1! n_2! ... times.  A column with a repeated letter
+    contributes nothing, since swapping the two equal letters pairs its
+    terms with opposite signs; otherwise the column permutations give
+    distinct words.  Integer input coefficients give integer output."""
 
     def __init__(self, lam, boxes=None):
         self.lam = trim(lam)
         self.boxes = _boxes(self.lam) if boxes is None else list(boxes)
         if sorted(self.boxes) != _boxes(self.lam):
             raise ValueError(f"{boxes} are not the boxes of {self.lam}")
-        rows, cols = _filling_groups(self.boxes)
-        self._rows = [r for r in rows if len(r) > 1]
-        self._cols = [(c, _signed_perms(len(c))) for c in cols if len(c) > 1]
+        self.rows, cols = _filling_groups(self.boxes)
+        self._arrangements: dict = {}  # sorted row letters -> their distinct rearrangements
+        cols = [c for c in cols if len(c) > 1]
+        self._col_pairs = [(a, b) for c in cols for i, a in enumerate(c) for b in c[i + 1 :]]
+        # the column group as (gather of the permuted word, sign)
+        n = len(self.boxes)
+        self.column_moves = [] if cols else [(lambda w: tuple(w[:n]), 1)]
+        for perms in product(*(_signed_perms(len(c)) for c in cols)) if cols else ():
+            q = list(range(n))
+            for col, (p, _) in zip(cols, perms):
+                for slot, j in zip(col, p):
+                    q[slot] = col[j]
+            self.column_moves.append((itemgetter(*q), prod(sign for _, sign in perms)))
 
-    def _row_terms(self, word) -> list:
-        """(word, multiplicity) over the distinct row rearrangements of word."""
-        terms = [(list(word), 1)]
-        for row in self._rows:
-            letters = tuple(sorted(word[s] for s in row))
-            mult = prod(factorial(letters.count(x)) for x in set(letters))
-            arrangements = list(_multiset_perms(letters))
-            fresh = []
-            for base, c in terms:
-                for arr in arrangements:
-                    w = base[:]
-                    for s, x in zip(row, arr):
-                        w[s] = x
-                    fresh.append((w, c * mult))
-            terms = fresh
-        return terms
-
-    def _column_terms(self, word) -> list:
-        """(word, sign) over the column permutations of word; empty if a
-        column repeats a letter."""
-        columns = [(col, perms, [word[s] for s in col]) for col, perms in self._cols]
-        if any(len(set(letters)) < len(letters) for _, _, letters in columns):
-            return []
-        terms = [(word, 1)]
-        for col, perms, letters in columns:
-            fresh = []
-            for base, c in terms:
-                for p, sign in perms:
-                    w = base[:]
-                    for s, j in zip(col, p):
-                        w[s] = letters[j]
-                    fresh.append((w, c * sign))
-            terms = fresh
-        return terms
+    def row_key(self, word) -> tuple:
+        """The sorted letters of every row: the same for exactly the row
+        rearrangements of word."""
+        return tuple(tuple(sorted(word[s] for s in row)) for row in self.rows)
 
     def apply(self, vec: Vec) -> Vec:
         out: Vec = {}
+        n = len(self.boxes)
         for word, c in vec.items():
-            for rw, rc in self._row_terms(word):
-                # distinct column permutations give distinct words
-                _add_scaled(out, {tuple(cw): cc for cw, cc in self._column_terms(rw)}, c * rc)
+            rest = tuple(word[n:])
+            key = self.row_key(word)
+            cc = c * _stabilizer(key)
+            rearranged = [list(word)]
+            for row, letters in zip(self.rows, key):
+                if letters not in self._arrangements:
+                    self._arrangements[letters] = list(_multiset_perms(letters))
+                rearranged = [
+                    _placed(base, row, arr)
+                    for arr in self._arrangements[letters]
+                    for base in rearranged
+                ]
+            for rw in rearranged:
+                for a, b in self._col_pairs:
+                    if rw[a] == rw[b]:
+                        break
+                else:
+                    for gather, sign in self.column_moves:
+                        w = gather(rw) + rest
+                        y = out.get(w, 0) + sign * cc
+                        if y:
+                            out[w] = y
+                        else:
+                            out.pop(w, None)
         return out
+
+
+def _stabilizer(key) -> int:
+    """Number of row permutations that fix a word with row key `key`."""
+    return prod(factorial(letters.count(x)) for letters in key for x in set(letters))
+
+
+def _placed(base: list, slots, letters) -> list:
+    """A copy of base with the given letters in the given slots."""
+    w = base[:]
+    for s, x in zip(slots, letters):
+        w[s] = x
+    return w
 
 
 def _multiset_perms(word):
@@ -253,10 +296,11 @@ def symmetrize_trailing(vec: Vec, start: int) -> Vec:
 
 class SubspaceBasis:
     """Incrementally echelonized spanning set with exact coordinates of new
-    vectors in terms of the accepted ones."""
+    vectors in terms of the accepted ones.  Echelon vectors are kept as
+    reduced, not scaled to lead with 1, so integer input stays integer."""
 
     def __init__(self):
-        self._pivots = []  # (pivot_word, echelon vec, combo dict idx -> Fraction)
+        self._pivots = []  # (pivot_word, echelon vec, combo dict idx -> coefficient)
         self.count = 0
 
     def _reduce(self, vec: Vec):
@@ -265,23 +309,22 @@ class SubspaceBasis:
         for pw, pv, pc in self._pivots:
             c = vec.get(pw)
             if c:
-                _add_scaled(vec, pv, -c)
-                _add_scaled(combo, pc, c)
+                f = _ratio(c, pv[pw])
+                _add_scaled(vec, pv, -f)
+                _add_scaled(combo, pc, f)
         return vec, combo
 
-    def add(self, vec: Vec) -> bool:
+    def add(self, vec: Vec, pivot=None) -> bool:
         """Accept vec if independent of the current span; returns whether it
-        was accepted (as original basis vector number `count`)."""
+        was accepted (as original basis vector number `count`).  The word
+        `pivot` becomes its pivot word if the reduced vec is nonzero there,
+        else the least word of the reduced vec does."""
         res, combo = self._reduce(vec)
         if not res:
             return False
-        pw = min(res)
-        # Fraction, not int: the symmetrizer images have integer entries
-        inv = 1 / Fraction(res[pw])
-        norm = {w: c * inv for w, c in res.items()}
-        pc = {idx: -x * inv for idx, x in combo.items()}
-        pc[self.count] = inv
-        self._pivots.append((pw, norm, pc))
+        pc = {idx: -x for idx, x in combo.items()}
+        pc[self.count] = 1
+        self._pivots.append((pivot if res.get(pivot) else min(res), res, pc))
         self.count += 1
         return True
 
@@ -292,6 +335,26 @@ class SubspaceBasis:
         if res:
             raise ValueError("vector outside subspace span")
         return combo
+
+    def pivot_solver(self) -> tuple[list, list, int]:
+        """(pivot words P, sparse columns of an integer matrix N, D > 0)
+        such that a vector v of the span has coordinates N (v at P) / D.
+
+        `_reduce` reads a vector only at the pivot words, and its updates
+        there depend only on the echelon vectors there, so reducing v|P by
+        the echelon vectors cut to P yields the coordinates of v.  They are
+        linear in v|P; column j of N/D is the reduction of the unit vector
+        at P[j], which the echelon vectors before the j-th leave alone."""
+        words = [pw for pw, _, _ in self._pivots]
+        at = set(words)
+        pivots = [(pw, {w: x for w, x in pv.items() if w in at}, pc) for pw, pv, pc in self._pivots]
+        cut = SubspaceBasis()
+        cols = []
+        for j, w in enumerate(words):
+            cut._pivots = pivots[j:]
+            cols.append(cut._reduce({w: 1})[1])
+        den = lcm(*(x.denominator for col in cols for x in col.values()))
+        return words, [{r: int(x * den) for r, x in col.items()} for col in cols], den
 
 
 # ---------------------------------------------------------------------------
@@ -347,22 +410,32 @@ def mat_mul(a, b):
 def mat_rank(a) -> int:
     """Exact rank over Q of a matrix given as dense rows (lists) or as
     sparse columns ({index: entry} dicts); row rank equals column rank, so
-    either orientation serves.  Each vector is reduced by the pivot vectors
-    keyed by their leading index until its leading index is new; it then
-    becomes the pivot of that index, scaled to lead with 1."""
+    either orientation serves.  Entries are ints or Fractions.  Each vector
+    is scaled by the lcm of its denominators, which keeps the rank, and
+    then eliminated over Z: while its leading index has a pivot p it
+    becomes p_lead v - v_lead p (both divided by their gcd), and once the
+    leading index is new it becomes the pivot of that index.  Every vector
+    is divided by the gcd of its entries, which keeps the numbers small."""
     pivots: dict = {}
     for vec in a:
         v = {j: x for j, x in (vec.items() if isinstance(vec, dict) else enumerate(vec)) if x}
+        den = lcm(*(x.denominator for x in v.values()))
+        v = {j: x.numerator * (den // x.denominator) for j, x in v.items()}
         while v:
+            content = gcd(*v.values())
+            if content > 1:
+                v = {j: x // content for j, x in v.items()}
             lead = min(v)
             p = pivots.get(lead)
             if p is None:
-                inv = 1 / Fraction(v[lead])
-                pivots[lead] = {j: x * inv for j, x in v.items()}
+                pivots[lead] = v
                 break
-            c = v[lead]
+            g = gcd(p[lead], v[lead])
+            a_p, a_v = p[lead] // g, v[lead] // g
+            if a_p != 1:
+                v = {j: a_p * x for j, x in v.items()}
             for j, x in p.items():
-                y = v.get(j, 0) - c * x
+                y = v.get(j, 0) - a_v * x
                 if y:
                     v[j] = y
                 else:
@@ -385,56 +458,98 @@ class SchurRealization:
     symmetrizer: YoungSymmetrizer  # its filling orders the slots of the basis words
     basis: list  # projected vectors spanning the symmetrizer image
     echelon: SubspaceBasis  # the same vectors, echelonized for coordinates
+    pivots: list  # pivot words P of the echelon
+    solve: list  # sparse columns of N, one per pivot word
+    denom: int  # D: a vector v of the image has coordinates N (v at P) / D
+    at_pivots: dict  # row key r -> {j: sum of sign(q) over column perms q with key(q.P[j]) = r}
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
+    def scaled_coords(self, values: dict) -> dict:
+        """D times the coordinates of the vector of the symmetrizer image
+        whose values at the pivot words are {j: value at P[j]} (zeros may
+        be left out): N times the values, so integers stay integers."""
+        acc: dict = {}
+        for j, x in values.items():
+            for r, y in self.solve[j].items():
+                acc[r] = acc.get(r, 0) + x * y
+        return acc
 
-def _row_sorted_words(boxes, m: int) -> list:
-    """Words of length len(boxes) whose letters weakly increase along every
-    row of the filling, in product (lexicographic) order.  The row
-    symmetrizer gives every rearrangement of a word within rows the same
-    image, and the row-sorted one comes first among them in product order."""
-    rows, _ = _filling_groups(boxes)
+    def scaled_image(self, word) -> dict:
+        """D times the coordinates of Y(word), Y the symmetrizer.  Y sums
+        sign(q) q p over the column permutations q and row permutations p,
+        so the value of Y(word) at w is the number of row permutations
+        fixing word times the sum of sign(q) over the q for which q.w is a
+        row rearrangement of word: `at_pivots` of the row key of word."""
+        key = self.symmetrizer.row_key(word)
+        mult = _stabilizer(key)
+        return self.scaled_coords({j: mult * x for j, x in self.at_pivots.get(key, {}).items()})
+
+
+def _ssyt_words(lam, m: int, boxes) -> list:
+    """Words of the semistandard tableaux of lam with entries < m (rows
+    weakly increase, columns strictly increase), each entry placed in the
+    slot of its box; there are dim_gl(lam, m) of them."""
+    tableaux = [()]
+    for length in lam:
+        rows = list(combinations_with_replacement(range(m), length))
+        tableaux = [
+            t + (row,)
+            for t in tableaux
+            for row in rows
+            if not t or all(x > y for x, y in zip(row, t[-1]))
+        ]
     words = []
-    for fill in product(*(combinations_with_replacement(range(m), len(r)) for r in rows)):
+    for t in tableaux:
         w = [0] * len(boxes)
-        for slots, letters in zip(rows, fill):
-            for slot, x in zip(slots, letters):
-                w[slot] = x
+        for slot, (r, c) in enumerate(boxes):
+            w[slot] = t[r][c]
         words.append(tuple(w))
-    words.sort()
     return words
 
 
 def realize_schur(lam, m: int, limit: int | None = None, boxes=None) -> SchurRealization:
-    """Basis of the Young-symmetrizer image inside E^(x)|lam|, found by
-    projecting row-sorted words in product order and keeping an independent
-    set; the other words repeat an earlier image, so the basis is the one a
-    search over all m^|lam| words keeps.  Images of {word: 1} have integer
-    entries.  The rank is checked against the Weyl dimension formula."""
+    """Basis of the Young-symmetrizer image inside E^(x)|lam|: the images of
+    the words of the semistandard tableaux of lam, one per tableau, which
+    are exactly dim S_lam(E) words.  Images of {word: 1} have integer
+    entries.  The rank is checked against the Weyl dimension formula.
+
+    The words are projected last tableau first, each offered as the pivot
+    of its own image.  On every shape measured an image vanishes at the
+    words of the later tableaux, so the echelon keeps the images
+    unreduced and the pivot solver is nearly diagonal."""
     lam = trim(lam)
     if limit is None:
         limit = tensor_limit()
     t = sum(lam)
-    if m**t > limit:
-        raise DimLimitError(f"ambient dimension {m}^{t} exceeds limit {limit}")
-    target = dim_gl(lam, m)
+    if _exceeds(m, t, limit):
+        raise DimLimitError(f"ambient dimension {max(m, 2)}^{t} exceeds limit {limit}")
     sym = YoungSymmetrizer(lam, boxes)
     ech = SubspaceBasis()
     basis = []
-    for word in _row_sorted_words(sym.boxes, m):
+    for word in reversed(_ssyt_words(lam, m, sym.boxes)):
         v = sym.apply({word: 1})
-        if v and ech.add(v):
+        if v and ech.add(v, pivot=word):
             basis.append(v)
-            if len(basis) == target:
-                break
+    target = dim_gl(lam, m)
     if len(basis) != target:
         raise DimMismatchError(
             f"symmetrizer image of {lam} over dim {m} has rank {len(basis)}, expected {target}"
         )
-    return SchurRealization(lam=lam, m=m, symmetrizer=sym, basis=basis, echelon=ech)
+    pivots, solve, denom = ech.pivot_solver()
+    at_pivots: dict = {}
+    for j, w in enumerate(pivots):
+        for gather, sign in sym.column_moves:
+            key = sym.row_key(gather(w))
+            row = at_pivots.setdefault(key, {})
+            row[j] = row.get(j, 0) + sign
+    return SchurRealization(
+        lam=lam, m=m, symmetrizer=sym, basis=basis, echelon=ech,
+        pivots=pivots, solve=solve, denom=denom,
+        at_pivots={key: {j: x for j, x in row.items() if x} for key, row in at_pivots.items()},
+    )
 
 
 class SliceSpace:
@@ -485,10 +600,10 @@ class SliceLab:
 
     def guard(self, k: int) -> None:
         n = self._ambient(k)
-        if self.m**n > self.limit:
+        if _exceeds(self.m, n, self.limit):
             raise DimLimitError(
-                f"slice degree {k} needs ambient dimension {self.m}^{n}"
-                f" = {self.m ** n} > limit {self.limit}"
+                f"slice degree {k} needs ambient dimension {max(self.m, 2)}^{n}"
+                f" > limit {self.limit}"
             )
 
     def schur(self, i: int) -> SchurRealization:
@@ -528,13 +643,14 @@ class SliceLab:
 
         The map symmetrizes the slots from a = |alpha(d, i-1)| on and then
         applies the symmetrizer Y of F_{i-1} to the first a slots.  A head
-        word h goes to Y(h[:a]) (x) sym(h[a:]) with coefficient 1, so Y is
-        applied and reduced to Schur coordinates once per distinct prefix
-        h[:a]; each word only adds its coefficient to its suffix's entry."""
+        word h goes to Y(h[:a]) (x) sym(h[a:]) with coefficient 1, so the
+        Schur coordinates of Y(h[:a]) (`scaled_image`, times the target's
+        D) are found once per distinct prefix; each word only adds its
+        coefficient to its suffix's entry, in integers, and the sums are
+        divided by D once."""
         if i not in self._images:
             target = self.schur(i - 1)
-            sym = target.symmetrizer
-            a = sum(target.lam)
+            a, den = sum(target.lam), target.denom
             prefix_coords: dict = {}
             images = []
             for s in self.schur(i).basis:
@@ -543,12 +659,15 @@ class SliceLab:
                     p = h[:a]
                     pc = prefix_coords.get(p)
                     if pc is None:
-                        pc = prefix_coords[p] = target.echelon.coords(sym.apply({p: 1}))
+                        pc = prefix_coords[p] = target.scaled_image(p)
                     slot = img.setdefault(tuple(sorted(h[a:])), {})
                     for r, x in pc.items():
                         slot[r] = slot.get(r, 0) + c * x
                 images.append(
-                    {suffix: {r: x for r, x in slot.items() if x} for suffix, slot in img.items()}
+                    {
+                        suffix: {r: _ratio(x, den) for r, x in slot.items() if x}
+                        for suffix, slot in img.items()
+                    }
                 )
             self._images[i] = images
         return self._images[i]
@@ -609,17 +728,21 @@ class SliceLab:
 
     def letter_action_columns(self, i: int, k: int, g) -> list:
         """Sparse columns of the permutation g of basis letters on (F_i)_k:
-        s (x) sym(u) goes to g(s) (x) sym(g(u)), and g(s) is reduced to
-        Schur coordinates once per basis vector."""
+        s (x) sym(u) goes to g(s) (x) sym(g(u)).  g(s) is in im Y, so its
+        Schur coordinates come from its values at the pivot words: the
+        value of g(s) at w is the value of s at g^-1(w)."""
         sp = self.space(i, k)
         if sp is None:
             return []
         schur = sp.schur
         n = len(sp.multisets)
         tails = [sp.tail_index[tuple(sorted(g[x] for x in u))] for u in sp.multisets]
+        inverse = {y: x for x, y in enumerate(g)}
+        pulled = [tuple(inverse[y] for y in w) for w in schur.pivots]
         cols = []
         for s in schur.basis:
-            coeffs = schur.echelon.coords({tuple(g[x] for x in h): c for h, c in s.items()})
+            scaled = schur.scaled_coords({j: s[w] for j, w in enumerate(pulled) if w in s})
+            coeffs = {r: _ratio(z, schur.denom) for r, z in scaled.items() if z}
             for t in tails:
                 cols.append({r * n + t: x for r, x in coeffs.items()})
         return cols

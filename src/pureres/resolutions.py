@@ -180,6 +180,14 @@ class BettiTable:
 # and the CLI examples have m <= 5.
 BETTI_LENGTH_LIMIT = 64
 
+# Largest m^2 * bitlen(d_m - d_0) that betti_F accepts: the Weyl products
+# also grow with the size of the degrees.  At this bound betti_F takes
+# about 0.4 s at m = 64 (gaps of 2^26) and 0.07 s at m = 16 (gaps of
+# 2^508); at twice it 1.4 s and 0.23 s.  Gaps of 10^100 took 28 s at
+# m = 64 and gaps of 10^4000 13 s at m = 16.  The tests, demos and
+# benchmark inputs stay below 2^15.
+BETTI_COST_LIMIT = 2**17
+
 
 def betti_F(d) -> BettiTable:
     """Betti table of the length-m equivariant pure complex over Sym(E),
@@ -191,6 +199,11 @@ def betti_F(d) -> BettiTable:
     if m > BETTI_LENGTH_LIMIT:
         raise ResourceLimitError(
             f"degree sequence has m = {m} > limit {BETTI_LENGTH_LIMIT}"
+        )
+    cost = m * m * (d[-1] - d[0]).bit_length()
+    if cost > BETTI_COST_LIMIT:
+        raise ResourceLimitError(
+            f"degree sequence has m^2 * bitlen(d_m - d_0) = {cost} > limit {BETTI_COST_LIMIT}"
         )
     weight = _base_weight(e)  # alpha(d, i) once its first i parts have grown
     rows = []

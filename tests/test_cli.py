@@ -193,6 +193,33 @@ class TestHostileInputs:
         assert code == 3
         assert out == ""
 
+    def test_huge_degrees_are_a_resource_limit(self, capsys):
+        # betti_F took about 13 s on gaps of 10^4000 at m = 16
+        d = ",".join(str(i * 10**4000) for i in range(17))
+        t0 = time.perf_counter()
+        code, out = run(capsys, "betti", "--construction", "F", "--d", d)
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 3
+        assert out == ""
+
+    def test_one_step_lab_is_bounded(self):
+        # m = 1 has ambient dimension 1^N = 1; the lab used to build a
+        # 10^8-letter filling and ran out of memory.  Run in a child process
+        # under a 1 GiB address-space cap, as below.
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        res = subprocess.run(
+            [sys.executable, "-m", "pureres.cli", "verify", "--d", "0,100000000"],
+            capture_output=True,
+            env=dict(os.environ, PYTHONPATH=path),
+            preexec_fn=cap_memory,
+            timeout=10,
+        )
+        assert res.returncode == 3, res.stderr.decode(errors="replace")
+        assert res.stdout == b""
+
     @pytest.mark.parametrize(
         "argv, stdout",
         [

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -26,7 +27,7 @@ from pureres.exactness import (
     verify_exactness,
 )
 from pureres.partitions import dim_gl
-from pureres.resolutions import betti_F, hilbert_M_strips
+from pureres.resolutions import alpha, betti_F, hilbert_M_strips
 
 from oracles import WordSlices, dense_rank, random_partition
 
@@ -131,31 +132,46 @@ def matrix(entry, rows: int, cols: int):
     return st.lists(row, min_size=rows, max_size=rows)
 
 
+FRACTIONS = st.builds(Fraction, st.sampled_from([-3, -2, -1, 1, 2, 3]), st.integers(1, 4))
+INTS = st.sampled_from([-3, -2, -1, 1, 2, 3])
+# beyond 2^64, with the sign drawn separately
+BIG_INTS = st.builds(lambda s, x: s * (2**64 + x), st.sampled_from([-1, 1]), st.integers(1, 2**70))
+
+
 @st.composite
-def rational_matrices(draw):
+def rational_matrices(draw, nonzero=FRACTIONS, zero=Fraction(0)):
     """Dense rational matrices, up to 7 x 7: sparse, dense, or a product of
     dense factors through a narrow middle (low rank, heavy fill-in), with
     some rows and columns then set to zero."""
     rows, cols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
-    nonzero = st.builds(Fraction, st.sampled_from([-3, -2, -1, 1, 2, 3]), st.integers(1, 4))
     kind = draw(st.sampled_from(["sparse", "dense", "product"]))
     if kind == "product":
         inner = draw(st.integers(0, 3))
         b = draw(matrix(nonzero, rows, inner))
         c = draw(matrix(nonzero, inner, cols))
         a = [
-            [sum((b[r][q] * c[q][j] for q in range(inner)), Fraction(0)) for j in range(cols)]
+            [sum((b[r][q] * c[q][j] for q in range(inner)), zero) for j in range(cols)]
             for r in range(rows)
         ]
     else:
-        entry = nonzero if kind == "dense" else st.one_of(st.just(Fraction(0)), nonzero)
+        entry = nonzero if kind == "dense" else st.one_of(st.just(zero), nonzero)
         a = draw(matrix(entry, rows, cols))
     for r in draw(st.sets(st.integers(0, max(rows - 1, 0)), max_size=2)) if rows else ():
-        a[r] = [Fraction(0)] * cols
+        a[r] = [zero] * cols
     for j in draw(st.sets(st.integers(0, max(cols - 1, 0)), max_size=2)) if cols else ():
         for row in a:
-            row[j] = Fraction(0)
+            row[j] = zero
     return a
+
+
+def check_rank(a):
+    """mat_rank of a as dense rows and as sparse columns equals the dense
+    Gauss-Jordan rank."""
+    ref = dense_rank(a)
+    assert mat_rank(a) == ref
+    ncols = len(a[0]) if a else 0
+    cols = [{r: row[j] for r, row in enumerate(a) if row[j]} for j in range(ncols)]
+    assert mat_rank(cols) == ref
 
 
 class TestSparseRank:
@@ -165,11 +181,23 @@ class TestSparseRank:
     @example([[], []])
     @example([[Fraction(0)] * 3] * 2)
     def test_matches_dense_reference(self, a):
-        ref = dense_rank(a)
-        assert mat_rank(a) == ref
-        ncols = len(a[0]) if a else 0
-        cols = [{r: row[j] for r, row in enumerate(a) if row[j]} for j in range(ncols)]
-        assert mat_rank(cols) == ref
+        check_rank(a)
+
+    # mat_rank clears denominators and eliminates over Z
+    @settings(derandomize=True, database=None, max_examples=120, deadline=None)
+    @given(
+        st.one_of(
+            rational_matrices(INTS, 0),
+            rational_matrices(st.one_of(INTS, FRACTIONS)),
+            rational_matrices(BIG_INTS, 0),
+            rational_matrices(st.one_of(BIG_INTS, FRACTIONS)),
+        )
+    )
+    @example([[2**65, 2**65 + 1], [2**66, 2**66 + 2]])
+    @example([[2**64 + 1, 1], [1, 2**64 + 1]])
+    @example([[1, Fraction(1, 2)], [Fraction(2, 3), Fraction(1, 3)]])
+    def test_int_and_mixed_entries(self, a):
+        check_rank(a)
 
 
 class TestRealizeSchur:
@@ -188,6 +216,31 @@ class TestRealizeSchur:
     def test_limit_enforced(self):
         with pytest.raises(DimLimitError):
             realize_schur((5, 4, 3), 4, limit=100)
+
+    @pytest.mark.parametrize("lam", [(3, 3, 2), (5, 3), (5, 2, 1)])
+    def test_projects_one_word_per_tableau(self, lam, monkeypatch):
+        # the row-sorted search projected 2380, 1060 and 1956 words here and
+        # took 1.8-2.8 s
+        apply = YoungSymmetrizer.apply
+        projected = []
+        monkeypatch.setattr(
+            YoungSymmetrizer, "apply", lambda self, vec: projected.append(vec) or apply(self, vec)
+        )
+        assert realize_schur(lam, 4).dim == dim_gl(lam, 4) == len(projected)
+        monkeypatch.undo()
+        seconds = []
+        for _ in range(3):
+            t0 = time.process_time()
+            realize_schur(lam, 4)
+            seconds.append(time.process_time() - t0)
+        assert min(seconds) < 0.2
+
+    @pytest.mark.parametrize("d", [(0, 3, 4, 7), (0, 2, 3, 4, 6), (0, 1, 4, 6), (1, 2, 4)])
+    def test_chain_fillings_full_rank(self, d):
+        m = len(d) - 1
+        for i in range(m + 1):
+            r = realize_schur(alpha(d, i), m, boxes=chain_filling(d, i))
+            assert r.dim == dim_gl(alpha(d, i), m), (d, i)
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("PURERES_TENSOR_LIMIT", "42")
@@ -281,6 +334,40 @@ class TestWordLevelOracle:
                     ), ("x", i, k, var)
 
 
+class TestPivotCoordinates:
+    """Schur coordinates read off the pivot words equal the echelon's full
+    reduction of the same vector (`SubspaceBasis.coords`, which also
+    rejects a vector outside the span)."""
+
+    @pytest.mark.parametrize("d", CORPUS)
+    def test_generator_images(self, d):
+        lab = SliceLab(d)
+        for i in range(1, len(d)):
+            target = lab.schur(i - 1)
+            a = sum(target.lam)
+            for s, img in zip(lab.schur(i).basis, lab.generator_images(i)):
+                ref: dict = {}
+                for h, c in s.items():
+                    y = target.symmetrizer.apply({h[:a]: 1})
+                    slot = ref.setdefault(tuple(sorted(h[a:])), {})
+                    for r, x in target.echelon.coords(y).items():
+                        slot[r] = slot.get(r, 0) + c * x
+                assert img == {u: {r: x for r, x in v.items() if x} for u, v in ref.items()}
+
+    @pytest.mark.parametrize("d", CORPUS)
+    def test_letter_action(self, d):
+        lab = SliceLab(d)
+        m = len(d) - 1
+        for i in range(m + 1):
+            schur = lab.schur(i)
+            for g in permutations(range(m)):
+                # at k = d_i the tail is empty, so column r is basis vector r
+                cols = lab.letter_action_columns(i, d[i], g)
+                for s, col in zip(schur.basis, cols):
+                    moved = {tuple(g[x] for x in h): c for h, c in s.items()}
+                    assert col == schur.echelon.coords(moved), (i, g)
+
+
 class TestCheapChecksCatchMutation:
     """One corrupted entry of a cached differential must fail d^2 = 0,
     A-linearity and equivariance, which all read the cached columns."""
@@ -333,6 +420,9 @@ class TestNoFloats:
         def exact(values):
             return all(type(x) in (int, Fraction) for x in values)
 
+        def integral(values):
+            return all(type(x) is int for x in values)
+
         lab = SliceLab(d)
         m = len(d) - 1
         for i in range(m + 1):
@@ -340,9 +430,17 @@ class TestNoFloats:
             assert all(exact(v.values()) for v in schur.basis)
             for _, vec, combo in schur.echelon._pivots:
                 assert exact(vec.values()) and exact(combo.values())
+            # the pivot solver N / D and the pivot table are integers
+            assert type(schur.denom) is int and schur.denom > 0
+            assert all(integral(col.values()) for col in schur.solve)
+            assert all(integral(row.values()) for row in schur.at_pivots.values())
         for k in range(d[0], d[-1] + 3):
             for i in range(1, m + 1):
-                assert all(exact(col.values()) for col in lab.differential_columns(i, k))
+                cols = lab.differential_columns(i, k)
+                assert all(exact(col.values()) for col in cols)
+                # integral entries are stored as int
+                whole = [x for col in cols for x in col.values() if x.denominator == 1]
+                assert integral(whole)
 
 
 class TestCertificates:

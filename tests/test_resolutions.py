@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from pureres.partitions import conjugate, dim_gl, dim_super, trim
 from pureres.resolutions import (
+    BETTI_COST_LIMIT,
     BETTI_LENGTH_LIMIT,
     DET_DIM_LIMIT,
     PROFILE_SPAN_LIMIT,
@@ -222,6 +223,13 @@ class TestHilbert:
         for entry in (betti_F, duality_check, lambda d: hilbert_M_euler(d, 0)):
             with pytest.raises(ResourceLimitError):
                 entry(over)
+
+    def test_betti_cost_limit(self):
+        # m = 8: the largest d_8 - d_0 that passes has BETTI_COST_LIMIT / 64 bits
+        bits = BETTI_COST_LIMIT // 64
+        assert betti_F(tuple(range(8)) + (2 ** (bits - 1),)).rows[-1].twist == 2 ** (bits - 1)
+        with pytest.raises(ResourceLimitError):
+            betti_F(tuple(range(8)) + (2**bits,))
 
     def test_strip_count_is_product_of_gaps(self):
         for e, count in (((0, 4, 5, 4), 80), ((1, 2, 3), 6), ((0, 1, 1, 3, 2), 6)):
