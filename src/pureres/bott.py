@@ -42,7 +42,12 @@ def bott_cohomology(alpha_q, u: int, m: int) -> BottOutcome:
     """Run the Bott algorithm: add the staircase (m-1, ..., 1, 0) to the
     weight (alpha, u); a repetition means vanishing, otherwise the number of
     inversions is the cohomology degree and sorting minus the staircase is
-    the output weight."""
+    the output weight.
+
+    The first m - 1 entries, alpha + (m-1, ..., 1), strictly decrease
+    because alpha weakly does, so only the last entry can repeat one or be
+    out of order: the inversions are the entries before it that are
+    smaller."""
     alpha_q = tuple(alpha_q)
     if m < 1:
         raise ValueError("ambient dimension must be >= 1")
@@ -52,11 +57,10 @@ def bott_cohomology(alpha_q, u: int, m: int) -> BottOutcome:
         raise ValueError(f"quotient weight must be weakly decreasing: {alpha_q}")
     rho = tuple(range(m - 1, -1, -1))
     t = tuple(a + r for a, r in zip(alpha_q + (u,), rho))
-    if len(set(t)) < m:
+    head, last = t[:-1], t[-1]
+    if last in head:
         return BottOutcome(vanishes=True, trace=t)
-    inversions = sum(
-        1 for i in range(m) for j in range(i + 1, m) if t[i] < t[j]
-    )
+    inversions = sum(1 for x in head if x < last)
     beta = tuple(x - r for x, r in zip(sorted(t, reverse=True), rho))
     return BottOutcome(vanishes=False, trace=t, h_degree=inversions, weight=beta)
 
@@ -122,14 +126,11 @@ def det_bott_scan(d) -> DetScan:
         if i in assignments:
             raise ScanMismatchError(f"two nonvanishing u values map to index {i}")
         assignments[i] = (u, o.h_degree, o.weight)
-    expected = {
-        i: (d[i] - d[0], d[i] - d[0] - i, gamma(d, i) + (0,) * (m - len(gamma(d, i))))
-        for i in range(setup.s + 1)
-    }
-    for i, (u, h, w) in expected.items():
-        if u > setup.dim_g:
-            expected[i] = None  # degenerate: exterior power beyond dim G
-    expected = {i: v for i, v in expected.items() if v is not None}
+    # every u = d_i - d_0 is at most d_s - d_0 = dim G, inside the scan
+    expected = {}
+    for i in range(setup.s + 1):
+        g = gamma(d, i)
+        expected[i] = (d[i] - d[0], d[i] - d[0] - i, g + (0,) * (m - len(g)))
     if assignments != expected:
         raise ScanMismatchError(
             f"scan {assignments} does not match predicted {expected}"

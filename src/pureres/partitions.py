@@ -82,23 +82,27 @@ def _weyl_denominator(m: int) -> int:
 
 
 def _strips(
-    lam, e: int, m: int, cap: int, weyl: bool = True
-) -> list[tuple[tuple[int, ...], int | None]]:
-    """(shifted parts l_i = mu_i + m - i, Weyl numerator prod_{a<b} (l_a - l_b))
-    of every mu with at most m rows and mu_1 <= cap such that mu/lam is a
-    horizontal strip of size e, in lexicographic descending order of mu.
-    lam is a partition with at most m nonzero parts, e >= 0, cap >= lam_1.
+    lam, e: int | None, m: int, cap: int, weyl: bool = True
+) -> list[tuple[tuple[int, ...], int, int | None]]:
+    """(shifted parts l_i = mu_i + m - i, strip size |mu/lam|, Weyl numerator
+    prod_{a<b} (l_a - l_b)) of every mu with at most m rows and mu_1 <= cap
+    such that mu/lam is a horizontal strip of size e, or of any size when e
+    is None, in lexicographic descending order of mu.  lam is a partition
+    with at most m nonzero parts, e >= 0 or None, cap >= lam_1.
 
     Rows are filled top to bottom, one row for all prefixes at a time.  Row
     i > 0 (0-based) takes at most lam_{i-1} - lam_i boxes, row 0 at most
-    cap - lam_0, and each row takes at least what the rows below it cannot
-    hold, so every prefix kept completes to a strip.  The numerator grows
-    by one row's factors prod_{a<i} (l_a - l_i) at a time; with weyl false
-    it is not computed and every numerator is None.
+    cap - lam_0, and for a given e each row takes at least what the rows
+    below it cannot hold, so every prefix kept completes to a strip.  The
+    numerator grows by one row's factors prod_{a<i} (l_a - l_i) at a time;
+    with weyl false it is not computed and every numerator is None.
     """
     lam = tuple(lam) + (0,) * (m - len(lam))
     room = [cap - lam[0]] + [lam[i - 1] - lam[i] for i in range(1, m)] if m else []
-    if e > sum(room):
+    exact = e is not None
+    if not exact:
+        e = sum(room)  # every size fits, so no row has a lower bound
+    elif e > sum(room):
         return []
     below = [0] * m  # boxes the rows after row i can hold
     for i in range(m - 2, -1, -1):
@@ -108,7 +112,7 @@ def _strips(
         base, most, below_i = lam[i] + m - i, room[i], below[i]
         grown = []
         for shifted, left, num in level:
-            fewest = left - below_i if left > below_i else 0
+            fewest = left - below_i if exact and left > below_i else 0
             for x in range(left if left < most else most, fewest - 1, -1):
                 l_i = base + x
                 f = num
@@ -117,7 +121,7 @@ def _strips(
                         f *= l_a - l_i
                 grown.append((shifted + (l_i,), left - x, f))
         level = grown
-    return [(shifted, num) for shifted, _, num in level]
+    return [(shifted, e - left, num) for shifted, left, num in level]
 
 
 def pieri_expand(lam, e: int, max_rows: int) -> list[tuple[int, ...]]:
@@ -134,8 +138,15 @@ def pieri_expand(lam, e: int, max_rows: int) -> list[tuple[int, ...]]:
         return []
     return [
         trim(tuple(l - max_rows + i for i, l in enumerate(shifted)))
-        for shifted, _ in _strips(lam, e, max_rows, part(lam, 0) + e, weyl=False)
+        for shifted, _, _ in _strips(lam, e, max_rows, part(lam, 0) + e, weyl=False)
     ]
+
+
+def _weyl_quotient(num: int, m: int) -> int:
+    """A sum of Weyl numerators over GL_m divided by the Weyl denominator."""
+    q, r = divmod(num, _weyl_denominator(m))
+    assert r == 0
+    return q
 
 
 def pieri_dim(lam, e: int, m: int, cap: int) -> int:
@@ -144,10 +155,17 @@ def pieri_dim(lam, e: int, m: int, cap: int) -> int:
     at most m nonzero parts and cap >= lam_1."""
     if e < 0:
         return 0
-    total = sum(num for _, num in _strips(lam, e, m, cap))
-    q, r = divmod(total, _weyl_denominator(m))
-    assert r == 0
-    return q
+    return _weyl_quotient(sum(num for _, _, num in _strips(lam, e, m, cap)), m)
+
+
+def pieri_dims(lam, m: int, cap: int) -> list[int]:
+    """[pieri_dim(lam, e, m, cap) for e = 0, ..., cap - lam_m], every strip
+    size that fits under the cap, from one walk over the strips of all
+    sizes; m >= 1."""
+    sums = [0] * (cap - part(lam, m - 1) + 1)
+    for _, size, num in _strips(lam, None, m, cap):
+        sums[size] += num
+    return [_weyl_quotient(num, m) for num in sums]
 
 
 def dim_gl(lam, m: int) -> int:
@@ -166,9 +184,7 @@ def dim_gl(lam, m: int) -> int:
         if len(lam) > m:
             return 0
     shifted = [x + m - i for i, x in enumerate(lam)] + list(range(m - len(lam), 0, -1))
-    q, r = divmod(_weyl_numerator(shifted), _weyl_denominator(m))
-    assert r == 0
-    return q
+    return _weyl_quotient(_weyl_numerator(shifted), m)
 
 
 def _int_det(mat: list[list[int]]) -> int:

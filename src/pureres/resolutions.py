@@ -11,7 +11,6 @@ d_i - d_0 (their terms are defined only up to that shift).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import comb, gcd, lcm, prod
 
 from .partitions import (
@@ -22,6 +21,7 @@ from .partitions import (
     dim_super,
     part,
     pieri_dim,
+    pieri_dims,
     pieri_expand,
     trim,
 )
@@ -51,8 +51,13 @@ def check_degrees(d) -> tuple[int, ...]:
     d = tuple(d)
     if len(d) < 2:
         raise ValueError(f"degree sequence needs at least two entries: {d}")
-    if any(d[i] >= d[i + 1] for i in range(len(d) - 1)):
-        raise ValueError(f"degree sequence must be strictly increasing: {d}")
+    prev = None
+    for x in d:
+        if not isinstance(x, int):
+            raise ValueError(f"degree {x!r} in {d} is not an integer")
+        if prev is not None and x <= prev:
+            raise ValueError(f"degree sequence must be strictly increasing: {d}")
+        prev = x
     return d
 
 
@@ -189,10 +194,11 @@ BETTI_LENGTH_LIMIT = 64
 BETTI_COST_LIMIT = 2**17
 
 
-def betti_F(d) -> BettiTable:
-    """Betti table of the length-m equivariant pure complex over Sym(E),
-    dim E = m: the i-th term is generated in degree d_i by the Schur module
-    of weight alpha(d, i)."""
+def _f_weights(d) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
+    """d checked, and the weights alpha(d, 0), ..., alpha(d, m) of the terms
+    of the F-complex, each with m parts.  Raises ResourceLimitError when d
+    is over BETTI_LENGTH_LIMIT or BETTI_COST_LIMIT, before any Weyl
+    dimension is paid for."""
     d = check_degrees(d)
     e = diffs(d)
     m = len(d) - 1
@@ -206,12 +212,24 @@ def betti_F(d) -> BettiTable:
             f"degree sequence has m^2 * bitlen(d_m - d_0) = {cost} > limit {BETTI_COST_LIMIT}"
         )
     weight = _base_weight(e)  # alpha(d, i) once its first i parts have grown
-    rows = []
-    for i in range(m + 1):
-        if i:
-            weight[i - 1] += e[i]
-        rows.append(BettiRow(i=i, twist=d[i], weight=trim(weight), rank=dim_gl(weight, m)))
-    return BettiTable(kind="F", d=d, rows=tuple(rows), params={"m": m})
+    weights = [tuple(weight)]
+    for i in range(1, m + 1):
+        weight[i - 1] += e[i]
+        weights.append(tuple(weight))
+    return d, weights
+
+
+def betti_F(d) -> BettiTable:
+    """Betti table of the length-m equivariant pure complex over Sym(E),
+    dim E = m: the i-th term is generated in degree d_i by the Schur module
+    of weight alpha(d, i)."""
+    d, weights = _f_weights(d)
+    m = len(d) - 1
+    rows = tuple(
+        BettiRow(i=i, twist=d[i], weight=trim(w), rank=dim_gl(w, m))
+        for i, w in enumerate(weights)
+    )
+    return BettiTable(kind="F", d=d, rows=rows, params={"m": m})
 
 
 def betti_H(d) -> BettiTable:
@@ -352,12 +370,9 @@ def herzog_kuhl_primitive(d) -> tuple[int, ...]:
     (prod_{j != i} 1/|d_j - d_i|)_i.  These are the only Betti numbers a
     pure resolution of type d can have, up to an integer factor."""
     d = check_degrees(d)
-    vals = [
-        Fraction(1, prod(abs(d[j] - d[i]) for j in range(len(d)) if j != i))
-        for i in range(len(d))
-    ]
-    scale = lcm(*(v.denominator for v in vals))
-    ints = [int(v * scale) for v in vals]
+    dens = [prod(abs(d[j] - d[i]) for j in range(len(d)) if j != i) for i in range(len(d))]
+    scale = lcm(*dens)
+    ints = [scale // p for p in dens]
     g = gcd(*ints)
     return tuple(x // g for x in ints)
 
@@ -368,13 +383,14 @@ def multiple_of_primitive(table: BettiTable) -> int:
     if table.kind not in ("F", "H"):
         raise ValueError("only finite pure tables (kinds F, H) lie on a ray")
     prim = herzog_kuhl_primitive(table.d)
-    ratios = {Fraction(r.rank, p) for r, p in zip(table.rows, prim)}
-    if len(ratios) != 1:
-        raise NotOnRayError(f"ranks {table.ranks} not proportional to {prim}")
-    c = ratios.pop()
-    if c.denominator != 1:
-        raise NotIntegralError(f"multiple {c} of {prim} is not an integer")
-    return int(c)
+    ranks = table.ranks
+    # every primitive entry is positive, so equal ratios are equal cross products
+    if not ranks or any(r * prim[0] != ranks[0] * p for r, p in zip(ranks, prim)):
+        raise NotOnRayError(f"ranks {ranks} not proportional to {prim}")
+    c, rest = divmod(ranks[0], prim[0])
+    if rest:
+        raise NotIntegralError(f"multiple {ranks[0]}/{prim[0]} of {prim} is not an integer")
+    return c
 
 
 def check_herzog_kuhl(table: BettiTable, codim: int) -> bool:
@@ -389,14 +405,16 @@ def check_herzog_kuhl(table: BettiTable, codim: int) -> bool:
 
 def hilbert_M_euler(d, k: int) -> int:
     """Hilbert function of the module resolved by the F-complex, as the
-    alternating sum of the slice dimensions of the free terms."""
-    d = check_degrees(d)
+    alternating sum of the slice dimensions of the free terms.  Only the
+    terms generated in degree <= k count, so only their ranks are
+    computed; betti_F's limits hold for every k."""
+    d, weights = _f_weights(d)
     m = len(d) - 1
-    t = betti_F(d)
     total = 0
-    for r in t.rows:
-        if k >= r.twist:
-            total += (-1) ** r.i * r.rank * comb(k - r.twist + m - 1, m - 1)
+    for i, w in enumerate(weights):
+        if d[i] > k:
+            break
+        total += (-1) ** i * dim_gl(w, m) * comb(k - d[i] + m - 1, m - 1)
     return total
 
 
@@ -428,19 +446,19 @@ def hilbert_M_strips(d, k: int) -> int:
 
 
 # Largest degree span top - d_0 whose Hilbert function module_profile
-# builds, one hilbert_M_strips call per degree.  The strip limit below
-# bounds the enumeration; this one bounds the number of degrees, which for
-# m = 1 is the whole cost.  (0, 1, 200) takes about 3 ms and (0, 1, 1000)
-# about 10 ms; the `tables` inputs have spans up to 23 and the published
+# builds, one entry per degree.  The strip limit below bounds the
+# enumeration; this one bounds the number of degrees, which for m = 1 is
+# the whole cost.  (0, 1, 200) takes about 1 ms and (0, 1, 1000)
+# about 5 ms; the `tables` inputs have spans up to 23 and the published
 # rays 4 to 6.
 PROFILE_SPAN_LIMIT = 100
 
 # Largest strip count times m^2 that module_profile accepts.  Over all
 # degrees M(d) has exactly prod_{i>=1} e_i Pieri strips, and each is built
-# through m rows of up to m Weyl factors.  At the limit it takes 0.26-0.42 s
+# through m rows of up to m Weyl factors.  At the limit it takes 0.16-0.21 s
 # ((0,10,20,45,95), and m = 10 with every e_i in {1, 2, 5}); m = 72 with
-# 4096 strips (21e6) took 8.5 s.  `tables` inputs reach 6^5 * 5^2 = 194400,
-# the CLI examples 900.
+# 4096 strips (21e6; twelve gaps of 2, then sixty of 1) takes 4.3 s.
+# `tables` inputs reach 6^5 * 5^2 = 194400, the CLI examples 900.
 PROFILE_STRIP_LIMIT = 2_000_000
 
 
@@ -459,19 +477,23 @@ def module_profile(d) -> ModuleProfile:
     column of full height m removed; its dimension equals the last Betti
     number (Cohen-Macaulay type)."""
     d = check_degrees(d)
+    e = diffs(d)
     m = len(d) - 1
-    top = alpha(d, 1)[0] - 1
+    lam = _base_weight(e)
+    top = lam[0] + e[1] - 1  # alpha(d, 1)_1 - 1
     if top - d[0] > PROFILE_SPAN_LIMIT:
         raise ResourceLimitError(
             f"module profile spans degrees {d[0]}..{top}, more than {PROFILE_SPAN_LIMIT}"
         )
-    strips = prod(diffs(d)[1:])
+    strips = prod(e[1:])
     if strips * m * m > PROFILE_STRIP_LIMIT:
         raise ResourceLimitError(
             f"module profile needs {strips} strips over {m} rows:"
             f" {strips * m * m} > limit {PROFILE_STRIP_LIMIT} on strips x m^2"
         )
-    hf = {k: hilbert_M_strips(d, k) for k in range(d[0], top + 1)}
+    # hilbert_M_strips for every k at once: one walk over the surviving
+    # strips of all sizes, 0..top - d_0, with the same cap mu_1 <= top
+    hf = dict(enumerate(pieri_dims(lam, m, top), start=d[0]))
     top_strips = _strip_weights(d, top)
     if len(top_strips) != 1:
         raise AmbiguousSocleError(f"top degree {top} carries strips {top_strips}")

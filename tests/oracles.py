@@ -3,7 +3,8 @@ enumeration for (skew) Schur module dimensions, kept deliberately separate
 from the library's formulas, horizontal strips by search over a box, the
 strip-filter form of the Hilbert function and the tableau form of super
 dimensions, dense Gauss-Jordan rank, and a word-level realization of the
-slice complex for the exactness lab."""
+slice complex for the exactness lab, and Bott's algorithm with every pair
+of entries compared."""
 
 from fractions import Fraction
 from itertools import product
@@ -76,6 +77,18 @@ def brute_strips(lam, e: int, m: int) -> list:
         and is_horizontal_strip(mu, lam)
     ]
     return sorted(found, reverse=True)
+
+
+def pairwise_bott(alpha_q, u: int, m: int):
+    """Bott's algorithm on (alpha_q, u) + (m-1, ..., 1, 0), comparing every
+    pair of entries: None when an entry repeats, else (number of pairs out
+    of order, sorted sequence minus the staircase)."""
+    rho = tuple(range(m - 1, -1, -1))
+    t = tuple(a + r for a, r in zip(tuple(alpha_q) + (u,), rho))
+    if len(set(t)) < m:
+        return None
+    inversions = sum(1 for i in range(m) for j in range(i + 1, m) if t[i] < t[j])
+    return inversions, tuple(x - r for x, r in zip(sorted(t, reverse=True), rho))
 
 
 def strip_filter_hilbert(d, k: int) -> int:

@@ -13,7 +13,7 @@ from pureres.bott import (
 from pureres.partitions import dim_gl
 from pureres.resolutions import betti_H
 
-from oracles import random_degrees, random_partition
+from oracles import pairwise_bott, random_degrees, random_partition
 
 
 class TestBottAlgorithm:
@@ -82,6 +82,18 @@ class TestBottAlgorithm:
             if chi is not None and chi > 0:
                 assert not o.vanishes and o.h_degree == 0
                 assert dim_gl(o.weight, 3) == chi
+
+    def test_matches_pairwise_oracle(self):
+        rng = random.Random(23)
+        for _ in range(200):
+            m = rng.randint(1, 7)
+            w = tuple(sorted((rng.randint(-5, 6) for _ in range(m - 1)), reverse=True))
+            lo, hi = (w[-1], w[0]) if w else (0, 0)
+            # past either end u is larger or smaller than every other entry
+            for u in range(lo - m - 1, hi + m + 2):
+                o = bott_cohomology(w, u, m)
+                got = None if o.vanishes else (o.h_degree, o.weight)
+                assert got == pairwise_bott(w, u, m), (w, u, m)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

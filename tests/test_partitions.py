@@ -15,6 +15,8 @@ from pureres.partitions import (
     dim_skew,
     dim_super,
     is_horizontal_strip,
+    part,
+    pieri_dims,
     pieri_expand,
     trim,
 )
@@ -129,6 +131,21 @@ class TestPieriOracle:
     def test_matches_box_search(self, lam, e, extra_rows):
         m = min(len(lam) + extra_rows, 4)
         assert pieri_expand(lam, e, m) == brute_strips(lam, e, m)
+
+
+class TestPieriDimsOracle:
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(partitions(3, 4), st.integers(0, 3), st.integers(0, 2))
+    def test_sums_by_size_match_box_search(self, lam, over, extra_rows):
+        m = max(min(len(lam) + extra_rows, 4), 1)
+        cap = part(lam, 0) + over
+        by_size = pieri_dims(lam, m, cap)
+        # the largest strip fills every row up to the cap or the row above
+        assert len(by_size) == cap - part(lam, m - 1) + 1
+        for e in range(len(by_size) + 1):
+            under_cap = [mu for mu in brute_strips(lam, e, m) if part(mu, 0) <= cap]
+            want = sum(dim_gl(mu, m) for mu in under_cap)
+            assert (by_size[e] if e < len(by_size) else 0) == want, (lam, m, cap, e)
 
 
 class TestDimGl:

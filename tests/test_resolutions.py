@@ -1,10 +1,13 @@
 import random
+from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pureres.bott import det_bott_scan
 from pureres.partitions import conjugate, dim_gl, dim_super, trim
 from pureres.resolutions import (
     BETTI_COST_LIMIT,
@@ -55,6 +58,34 @@ class TestDegreeData:
             check_degrees((2, 1))
         with pytest.raises(ValueError):
             check_degrees(())
+
+    @pytest.mark.parametrize("d", [(0, 1.5, 3), (0, 1, 3.0), (Fraction(1, 2), 2), ("0", "1")])
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            betti_F,
+            betti_H,
+            module_profile,
+            lambda d: hilbert_M_euler(d, 2),
+            lambda d: hilbert_M_strips(d, 2),
+            duality_check,
+            det_bott_scan,
+            herzog_kuhl_primitive,
+        ],
+        ids=[
+            "betti_F",
+            "betti_H",
+            "module_profile",
+            "hilbert_M_euler",
+            "hilbert_M_strips",
+            "duality_check",
+            "det_bott_scan",
+            "herzog_kuhl_primitive",
+        ],
+    )
+    def test_non_integer_degrees_are_invalid(self, entry, d):
+        with pytest.raises(ValueError, match="not an integer"):
+            entry(d)
 
     def test_base_weight_golden(self):
         # d = (0, 3, 4, 7): e = (0, 3, 1, 3), lam_i = sum_{j > i} (e_j - 1)
@@ -228,8 +259,21 @@ class TestHilbert:
         # m = 8: the largest d_8 - d_0 that passes has BETTI_COST_LIMIT / 64 bits
         bits = BETTI_COST_LIMIT // 64
         assert betti_F(tuple(range(8)) + (2 ** (bits - 1),)).rows[-1].twist == 2 ** (bits - 1)
-        with pytest.raises(ResourceLimitError):
-            betti_F(tuple(range(8)) + (2**bits,))
+        # hilbert_M_euler shares the limit even where it needs no rank
+        for entry in (betti_F, lambda d: hilbert_M_euler(d, d[0])):
+            with pytest.raises(ResourceLimitError):
+                entry(tuple(range(8)) + (2**bits,))
+
+    def test_profile_matches_both_hilbert_functions(self):
+        # every d with 0 <= d_0 <= 1, m <= 4 and d_m <= 9
+        for d0 in (0, 1):
+            for m in range(1, 5):
+                for rest in combinations(range(d0 + 1, 10), m):
+                    d = (d0,) + rest
+                    p = module_profile(d)
+                    assert list(p.hf) == list(range(d0, p.top_degree + 1))
+                    for k, v in p.hf.items():
+                        assert v == hilbert_M_strips(d, k) == hilbert_M_euler(d, k), (d, k)
 
     def test_strip_count_is_product_of_gaps(self):
         for e, count in (((0, 4, 5, 4), 80), ((1, 2, 3), 6), ((0, 1, 1, 3, 2), 6)):
