@@ -5,7 +5,7 @@ scan that regenerates the determinantal Betti table term by term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import comb
 
 from .partitions import check_partition, conjugate, dim_gl, trim
@@ -23,8 +23,9 @@ class ScanMismatchError(Exception):
     """The Bott scan disagrees with the predicted term-by-term correspondence."""
 
 
-@dataclass(frozen=True)
-class BottOutcome:
+class BottOutcome(
+    namedtuple("BottOutcome", "vanishes trace h_degree weight", defaults=(None, None))
+):
     """Result of the Bott algorithm on S_alpha(Q) (x) S_u(R) over P^{m-1}.
 
     Either all cohomology vanishes, or exactly one degree h_degree carries
@@ -32,22 +33,13 @@ class BottOutcome:
     sequence (alpha, u) + rho with rho = (m-1, ..., 1, 0).
     """
 
-    vanishes: bool
-    trace: tuple[int, ...]
-    h_degree: int | None = None
-    weight: tuple[int, ...] | None = None
+    __slots__ = ()
 
 
-def bott_cohomology(alpha_q, u: int, m: int) -> BottOutcome:
-    """Run the Bott algorithm: add the staircase (m-1, ..., 1, 0) to the
-    weight (alpha, u); a repetition means vanishing, otherwise the number of
-    inversions is the cohomology degree and sorting minus the staircase is
-    the output weight.
-
-    The first m - 1 entries, alpha + (m-1, ..., 1), strictly decrease
-    because alpha weakly does, so only the last entry can repeat one or be
-    out of order: the inversions are the entries before it that are
-    smaller."""
+def _bott_head(alpha_q, m: int) -> tuple[int, ...]:
+    """Check the quotient weight alpha and return alpha + (m-1, ..., 1),
+    the first m - 1 entries of (alpha, u) + rho for every u.  They strictly
+    decrease because alpha weakly does."""
     alpha_q = tuple(alpha_q)
     if m < 1:
         raise ValueError("ambient dimension must be >= 1")
@@ -55,25 +47,37 @@ def bott_cohomology(alpha_q, u: int, m: int) -> BottOutcome:
         raise ValueError(f"quotient weight must have length {m - 1}, got {alpha_q}")
     if any(alpha_q[i] < alpha_q[i + 1] for i in range(len(alpha_q) - 1)):
         raise ValueError(f"quotient weight must be weakly decreasing: {alpha_q}")
-    rho = tuple(range(m - 1, -1, -1))
-    t = tuple(a + r for a, r in zip(alpha_q + (u,), rho))
-    head, last = t[:-1], t[-1]
-    if last in head:
+    return tuple(a + m - 1 - j for j, a in enumerate(alpha_q))
+
+
+def _bott(head: tuple[int, ...], u: int) -> BottOutcome:
+    """The Bott algorithm on t = (alpha, u) + rho = head + (u,), with head
+    from _bott_head.  Only the last entry u can repeat an entry or be out
+    of order.  A repetition means vanishing; otherwise the entries of head
+    smaller than u are the inversions, whose number is the cohomology
+    degree, and t sorted minus rho is the output weight."""
+    t = head + (u,)
+    if u in head:
         return BottOutcome(vanishes=True, trace=t)
-    inversions = sum(1 for x in head if x < last)
-    beta = tuple(x - r for x, r in zip(sorted(t, reverse=True), rho))
+    inversions = sum(1 for x in head if x < u)
+    beta = tuple(x - r for x, r in zip(sorted(t, reverse=True), range(len(head), -1, -1)))
     return BottOutcome(vanishes=False, trace=t, h_degree=inversions, weight=beta)
 
 
-@dataclass(frozen=True)
-class PushforwardProfile:
-    """Minimal free resolution shape of H^0(S_lam(Q) (x) Sym(Q)) over Sym(E):
-    a single free module when lam_{m-1} = 0, otherwise two terms one twist
-    apart."""
+def bott_cohomology(alpha_q, u: int, m: int) -> BottOutcome:
+    """Run the Bott algorithm on the weight (alpha, u) over P^{m-1}: add the
+    staircase rho = (m-1, ..., 1, 0); a repetition means vanishing,
+    otherwise the number of inversions is the cohomology degree and sorting
+    minus the staircase is the output weight."""
+    return _bott(_bott_head(alpha_q, m), u)
 
-    kind: str  # "free" | "two_term"
-    w0: tuple[int, ...]
-    w1: tuple[int, ...] | None = None
+
+class PushforwardProfile(namedtuple("PushforwardProfile", "kind w0 w1", defaults=(None,))):
+    """Minimal free resolution shape of H^0(S_lam(Q) (x) Sym(Q)) over Sym(E):
+    a single free module (kind "free") when lam_{m-1} = 0, otherwise two
+    terms one twist apart (kind "two_term")."""
+
+    __slots__ = ()
 
 
 def pushforward_profile(lam, m: int) -> PushforwardProfile:
@@ -86,14 +90,11 @@ def pushforward_profile(lam, m: int) -> PushforwardProfile:
     return PushforwardProfile(kind="two_term", w0=lam + (0,), w1=lam + (1,))
 
 
-@dataclass(frozen=True)
-class DetScan:
-    d: tuple[int, ...]
-    dim_f: int
-    dim_g: int
-    outcomes: tuple[tuple[int, BottOutcome], ...]
-    # homological index i -> (u, cohomology degree, weight)
-    assignments: dict
+class DetScan(namedtuple("DetScan", "d dim_f dim_g outcomes assignments")):
+    """The Bott scan of a degree sequence: (u, BottOutcome) for u = 0..dim G,
+    and assignments {homological index i: (u, cohomology degree, weight)}."""
+
+    __slots__ = ()
 
     @property
     def nonvanishing(self) -> list[tuple[int, BottOutcome]]:
@@ -115,9 +116,8 @@ def det_bott_scan(d) -> DetScan:
     setup = det_setup(d)
     m = setup.dim_f
     padded = setup.lambda_det + (0,) * (m - 1 - len(setup.lambda_det))
-    outcomes = []
-    for u in range(setup.dim_g + 1):
-        outcomes.append((u, bott_cohomology(padded, u, m)))
+    head = _bott_head(padded, m)
+    outcomes = [(u, _bott(head, u)) for u in range(setup.dim_g + 1)]
     assignments: dict[int, tuple[int, int, tuple[int, ...]]] = {}
     for u, o in outcomes:
         if o.vanishes:

@@ -73,7 +73,7 @@ from __future__ import annotations
 
 import os
 import random
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
 from math import comb, factorial, gcd, lcm, prod
@@ -451,17 +451,25 @@ def mat_is_zero(a) -> bool:
 # realizations
 
 
-@dataclass
-class SchurRealization:
-    lam: tuple[int, ...]
-    m: int
-    symmetrizer: YoungSymmetrizer  # its filling orders the slots of the basis words
-    basis: list  # projected vectors spanning the symmetrizer image
-    echelon: SubspaceBasis  # the same vectors, echelonized for coordinates
-    pivots: list  # pivot words P of the echelon
-    solve: list  # sparse columns of N, one per pivot word
-    denom: int  # D: a vector v of the image has coordinates N (v at P) / D
-    at_pivots: dict  # row key r -> {j: sum of sign(q) over column perms q with key(q.P[j]) = r}
+class SchurRealization(
+    namedtuple(
+        "SchurRealization",
+        [
+            "lam",
+            "m",
+            "symmetrizer",  # its filling orders the slots of the basis words
+            "basis",  # projected vectors spanning the symmetrizer image
+            "echelon",  # the same vectors, echelonized for coordinates
+            "pivots",  # pivot words P of the echelon
+            "solve",  # sparse columns of N, one per pivot word
+            "denom",  # D: a vector v of the image has coordinates N (v at P) / D
+            "at_pivots",  # row key r -> {j: sum of sign(q) over column perms q with key(q.P[j]) = r}
+        ],
+    )
+):
+    """An explicit basis of S_lam(E), dim E = m, inside E^(x)|lam|."""
+
+    __slots__ = ()
 
     @property
     def dim(self) -> int:
@@ -804,27 +812,36 @@ def check_a_linearity(lab: SliceLab, i: int, k: int) -> bool:
     return True
 
 
-@dataclass
-class Certificate:
+_SCOPE_NOTE = (
+    "finite certificate: graded slices verified up to k_max; behaviour "
+    "beyond is covered only by the Euler polynomial identity"
+)
+
+
+class Certificate(
+    namedtuple(
+        "Certificate",
+        "d m k_range dsquared_ok slices_exact minimality_ok euler_identity_ok"
+        " hf_match_ok alinearity_ok equivariance_ok failures scope_note",
+    )
+):
     """Finite exactness certificate: slice-by-slice evidence for degrees up
     to k_max plus the Euler polynomial identity beyond.  This is desk-scale
-    evidence, not a proof for all degrees."""
+    evidence, not a proof for all degrees.  `failures` is a fresh list by
+    default."""
 
-    d: tuple[int, ...]
-    m: int
-    k_range: tuple[int, int]
-    dsquared_ok: bool
-    slices_exact: dict
-    minimality_ok: bool
-    euler_identity_ok: bool
-    hf_match_ok: bool
-    alinearity_ok: bool = True
-    equivariance_ok: bool = True
-    failures: list = field(default_factory=list)
-    scope_note: str = (
-        "finite certificate: graded slices verified up to k_max; behaviour "
-        "beyond is covered only by the Euler polynomial identity"
-    )
+    __slots__ = ()
+
+    def __new__(
+        cls, d, m, k_range, dsquared_ok, slices_exact, minimality_ok, euler_identity_ok,
+        hf_match_ok, alinearity_ok=True, equivariance_ok=True, failures=None,
+        scope_note=_SCOPE_NOTE,
+    ):
+        return super().__new__(
+            cls, d, m, k_range, dsquared_ok, slices_exact, minimality_ok, euler_identity_ok,
+            hf_match_ok, alinearity_ok, equivariance_ok,
+            [] if failures is None else failures, scope_note,
+        )
 
     @property
     def passed(self) -> bool:

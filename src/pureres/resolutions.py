@@ -10,12 +10,11 @@ d_i - d_0 (their terms are defined only up to that shift).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from math import comb, gcd, lcm, prod
 
 from .partitions import (
     check_partition,
-    conjugate,
     complement_in_rectangle,
     dim_gl,
     dim_super,
@@ -129,14 +128,10 @@ def gamma(d, i: int) -> tuple[int, ...]:
 DET_DIM_LIMIT = 200
 
 
-@dataclass(frozen=True)
-class DetSetup:
+class DetSetup(namedtuple("DetSetup", "s dim_f dim_g lambda_det")):
     """Ambient data of the determinantal construction for a length-s sequence."""
 
-    s: int
-    dim_f: int
-    dim_g: int
-    lambda_det: tuple[int, ...]
+    __slots__ = ()
 
 
 def det_setup(d) -> DetSetup:
@@ -150,23 +145,36 @@ def det_setup(d) -> DetSetup:
     return DetSetup(s=s, dim_f=dim_f, dim_g=dim_f + s - 1, lambda_det=gamma(d, 0))
 
 
-@dataclass(frozen=True)
-class BettiRow:
-    i: int
-    twist: int
-    weight: tuple[int, ...]
-    rank: int
-    weight2: tuple[int, ...] | None = None
-    vanishing: bool = False
+BettiRow = namedtuple(
+    "BettiRow", "i twist weight rank weight2 vanishing", defaults=(None, False)
+)
 
 
-@dataclass(frozen=True)
-class BettiTable:
-    kind: str  # "F" | "H" | "F_super" | "H_super"
-    d: tuple[int, ...]
-    rows: tuple[BettiRow, ...]
-    params: dict = field(default_factory=dict, compare=False)
-    truncated_at: int | None = None
+class BettiTable(namedtuple("BettiTable", "kind d rows params truncated_at")):
+    """A Betti table of kind "F", "H", "F_super" or "H_super".  `params`
+    (a fresh dict by default) describes the construction and takes no part
+    in equality or hashing."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind, d, rows, params=None, truncated_at=None):
+        params = {} if params is None else params
+        return super().__new__(cls, kind, d, rows, params, truncated_at)
+
+    def _key(self):
+        return (self.kind, self.d, self.rows, self.truncated_at)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __ne__(self, other):
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def ranks(self) -> tuple[int, ...]:
@@ -421,14 +429,24 @@ def hilbert_M_euler(d, k: int) -> int:
 def _strip_weights(d, k: int) -> list[tuple[int, ...]]:
     """Pieri constituents of the degree-k slice of the 0-th term that survive
     to the resolved module: strips over the base weight avoiding alpha(d,1),
-    which are those with mu_1 < lam_1 + e_1 (see hilbert_M_strips)."""
+    which are those with mu_1 < lam_1 + e_1 (see hilbert_M_strips).
+
+    Every part of the base weight is at least d_0, so the strips are taken
+    over the partition lam - d_0 (1^m) and twisted back by d_0 (1^m): a
+    horizontal strip does not change under adding full columns, and d_0
+    may be negative."""
     d = check_degrees(d)
     if k < d[0]:
         return []
     e = diffs(d)
-    lam = _base_weight(e)
+    m = len(d) - 1
+    lam = [x - d[0] for x in _base_weight(e)]
     cap = lam[0] + e[1] - 1
-    return [mu for mu in pieri_expand(lam, k - d[0], len(d) - 1) if part(mu, 0) <= cap]
+    return [
+        trim(x + d[0] for x in mu + (0,) * (m - len(mu)))
+        for mu in pieri_expand(lam, k - d[0], m)
+        if part(mu, 0) <= cap
+    ]
 
 
 def hilbert_M_strips(d, k: int) -> int:
@@ -462,13 +480,8 @@ PROFILE_SPAN_LIMIT = 100
 PROFILE_STRIP_LIMIT = 2_000_000
 
 
-@dataclass(frozen=True)
-class ModuleProfile:
-    d: tuple[int, ...]
-    hf: dict
-    top_degree: int
-    socle_weight: tuple[int, ...]
-    socle_dim: int
+# hf is the Hilbert function {degree: dim}
+ModuleProfile = namedtuple("ModuleProfile", "d hf top_degree socle_weight socle_dim")
 
 
 def module_profile(d) -> ModuleProfile:
@@ -498,30 +511,26 @@ def module_profile(d) -> ModuleProfile:
     if len(top_strips) != 1:
         raise AmbiguousSocleError(f"top degree {top} carries strips {top_strips}")
     socle = top_strips[0]
-    expected_c = list(conjugate(alpha(d, m)))
-    try:
-        expected_c.remove(m)
-    except ValueError as exc:
+    expected = trim(a - 1 for a in alpha(d, m))  # one column of height m removed
+    if socle != expected:
         raise AmbiguousSocleError(
-            f"conjugate of {alpha(d, m)} has no part equal to {m}"
-        ) from exc
-    if socle != conjugate(expected_c):
-        raise AmbiguousSocleError(
-            f"socle strip {socle} does not match predicted {conjugate(expected_c)}"
+            f"socle strip {socle} does not match predicted {expected}"
         )
     return ModuleProfile(
         d=d, hf=hf, top_degree=top, socle_weight=socle, socle_dim=dim_gl(socle, m)
     )
 
 
-@dataclass(frozen=True)
-class DualityReport:
-    d: tuple[int, ...]
-    is_symmetric: bool
-    ranks_palindromic: bool | None = None
-    complements_match: bool | None = None
-    rectangle: tuple[int, int] | None = None
-    witnesses: tuple = ()
+class DualityReport(
+    namedtuple(
+        "DualityReport",
+        "d is_symmetric ranks_palindromic complements_match rectangle witnesses",
+        defaults=(None, None, None, ()),
+    )
+):
+    """Self-duality of the F-complex; only symmetric e get the other fields."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

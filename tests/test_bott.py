@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -11,7 +12,7 @@ from pureres.bott import (
     scan_ranks,
 )
 from pureres.partitions import dim_gl
-from pureres.resolutions import betti_H
+from pureres.resolutions import betti_H, det_setup
 
 from oracles import pairwise_bott, random_degrees, random_partition
 
@@ -151,6 +152,22 @@ class TestDetScan:
         assert len(s.nonvanishing) == 4
         vanished = [u for u, o in s.outcomes if o.vanishes]
         assert set(vanished) == set(range(s.dim_g + 1)) - {0, 1, 4, 6}
+
+    def test_scan_outcomes_are_bott_cohomology(self):
+        # the scan prepares the weight once; every outcome, trace included,
+        # is the one bott_cohomology gives: all d with 0 <= d_0 <= 1, m <= 4
+        # and d_m <= 9
+        for d0 in (0, 1):
+            for m in range(1, 5):
+                for rest in combinations(range(d0 + 1, 10), m):
+                    d = (d0,) + rest
+                    setup = det_setup(d)
+                    n = setup.dim_f
+                    padded = setup.lambda_det + (0,) * (n - 1 - len(setup.lambda_det))
+                    expected = tuple(
+                        (u, bott_cohomology(padded, u, n)) for u in range(setup.dim_g + 1)
+                    )
+                    assert det_bott_scan(d).outcomes == expected, d
 
     def test_koszul_scan(self):
         # consecutive degrees collapse to the Koszul case, dim F = 1

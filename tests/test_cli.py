@@ -91,6 +91,20 @@ class TestOtherCommands:
         assert doc["top_degree"] == 4
         assert doc["socle_dim"] == 6
 
+    def test_profile_negative_d0(self, capsys):
+        # (-2, 0, 3) is (0, 2, 5) twisted by the (-2)-th power of the
+        # determinant: every degree moves by -2, the socle weight (3, 2)
+        # becomes (1, 0)
+        code, out = run(capsys, "profile", "--d=-2,0,3")
+        assert code == 0
+        assert json.loads(out) == {
+            "d": [-2, 0, 3],
+            "hilbert_function": {"-2": 3, "-1": 6, "0": 4, "1": 2},
+            "top_degree": 1,
+            "socle_weight": [1],
+            "socle_dim": 2,
+        }
+
     def test_duality(self, capsys):
         code, out = run(capsys, "duality", "--d", "0,2,5,6,9,11", "--format", "json")
         assert code == 0
@@ -156,6 +170,29 @@ class TestValidationOrder:
         code, out = run(capsys, "verify", "--m", "7", "--d", "0,1,2,4")
         assert code == 2
         assert out == ""
+
+
+class TestStartup:
+    def test_import_loads_no_dataclasses_or_inspect(self):
+        # each CLI call is a fresh process; dataclasses (which loads inspect,
+        # ast, dis and tokenize) cost about 20 ms of it.  Only modules new
+        # to sys.modules count, so a site that preloads them still passes.
+        code = (
+            "import sys; before = set(sys.modules); import pureres.cli; "
+            "print(' '.join(sorted(set(sys.modules) - before)))"
+        )
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        res = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            env=dict(os.environ, PYTHONPATH=path),
+            timeout=30,
+        )
+        assert res.returncode == 0, res.stderr.decode(errors="replace")
+        new = res.stdout.decode().split()
+        assert "pureres.cli" in new
+        assert "dataclasses" not in new
+        assert "inspect" not in new
 
 
 class TestHostileInputs:

@@ -275,6 +275,25 @@ class TestHilbert:
                     for k, v in p.hf.items():
                         assert v == hilbert_M_strips(d, k) == hilbert_M_euler(d, k), (d, k)
 
+    def test_profile_twist_invariance(self):
+        # M(d + c) is M(d) twisted by the c-th power of the determinant:
+        # degrees and socle weight move by c, dimensions stay
+        def pad(w, m):
+            return w + (0,) * (m - len(w))
+
+        for m in range(1, 4):
+            for rest in combinations(range(1, 7), m):
+                d = (0,) + rest
+                base = module_profile(d)
+                for c in range(-3, 4):
+                    p = module_profile(tuple(x + c for x in d))
+                    assert p.hf == {k + c: v for k, v in base.hf.items()}, (d, c)
+                    assert p.top_degree == base.top_degree + c
+                    assert pad(p.socle_weight, m) == tuple(
+                        x + c for x in pad(base.socle_weight, m)
+                    ), (d, c)
+                    assert p.socle_dim == base.socle_dim
+
     def test_strip_count_is_product_of_gaps(self):
         for e, count in (((0, 4, 5, 4), 80), ((1, 2, 3), 6), ((0, 1, 1, 3, 2), 6)):
             d = degrees(e)
