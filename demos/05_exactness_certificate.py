@@ -5,7 +5,8 @@ Schur modules are realized as Young-symmetrizer images inside tensor
 powers, the differentials are assembled degree slice by degree slice
 over exact rationals, and the certificate checks d^2 = 0, exactness of
 every interior slice, the Hilbert function of the cokernel, minimality,
-A-linearity coherence, and equivariance spot checks.
+A-linearity coherence, and equivariance under a transposition and an
+m-cycle, which generate S_m.
 """
 
 from pureres import verify_exactness

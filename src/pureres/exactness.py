@@ -67,12 +67,17 @@ variable maps basis vectors injectively to basis vectors, so it is an
 index map and needs no product.  The dense matrices of `differential`,
 `multiplication` and `letter_action` are built from the same sparse
 forms.  All arithmetic is exact over Z and Q; nothing is a float.
+
+Equivariance.  The certificate checks equivariance under a transposition
+and an m-cycle, which generate S_m (`symmetric_generators`).  The letter
+action is a representation, so a slice matrix that commutes with the
+action of both commutes with the action of every product of them, that
+is of every letter permutation.
 """
 
 from __future__ import annotations
 
 import os
-import random
 from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
@@ -410,17 +415,20 @@ def mat_mul(a, b):
 def mat_rank(a) -> int:
     """Exact rank over Q of a matrix given as dense rows (lists) or as
     sparse columns ({index: entry} dicts); row rank equals column rank, so
-    either orientation serves.  Entries are ints or Fractions.  Each vector
-    is scaled by the lcm of its denominators, which keeps the rank, and
-    then eliminated over Z: while its leading index has a pivot p it
-    becomes p_lead v - v_lead p (both divided by their gcd), and once the
-    leading index is new it becomes the pivot of that index.  Every vector
-    is divided by the gcd of its entries, which keeps the numbers small."""
+    either orientation serves.  Entries are ints or Fractions.  A vector
+    with a Fraction entry is scaled by the lcm of its denominators, which
+    keeps the rank, and every vector is then eliminated over Z: while its
+    leading index has a pivot p it becomes p_lead v - v_lead p (both
+    divided by their gcd), and once the leading index is new it becomes
+    the pivot of that index.  Every vector is divided by the gcd of its
+    entries, which keeps the numbers small.  Each vector is copied first,
+    so the input is never modified."""
     pivots: dict = {}
     for vec in a:
         v = {j: x for j, x in (vec.items() if isinstance(vec, dict) else enumerate(vec)) if x}
-        den = lcm(*(x.denominator for x in v.values()))
-        v = {j: x.numerator * (den // x.denominator) for j, x in v.items()}
+        if not all(type(x) is int for x in v.values()):
+            den = lcm(*(x.denominator for x in v.values()))
+            v = {j: x.numerator * (den // x.denominator) for j, x in v.items()}
         while v:
             content = gcd(*v.values())
             if content > 1:
@@ -596,18 +604,22 @@ class SliceLab:
         self.d = check_degrees(d)
         self.m = len(self.d) - 1
         self.limit = tensor_limit() if limit is None else limit
+        if self.d[0] < 0:
+            raise ValueError(
+                f"d = {self.d} starts below 0: the lab realizes polynomial Schur"
+                f" modules only; the untwisted d - d_0 = {tuple(x - self.d[0] for x in self.d)}"
+                f" has the same slice ranks, with slice degrees shifted by {-self.d[0]}"
+            )
         self.table = betti_F(self.d)
+        # all terms of the degree-k slice live in E^(x)(|alpha(0)| - d_0 + k)
+        self._base = sum(alpha(self.d, 0)) - self.d[0]
         self._schur: dict = {}
         self._spaces: dict = {}
         self._cols: dict = {}
         self._images: dict = {}
 
-    def _ambient(self, k: int) -> int:
-        # all terms of the degree-k slice live in E^(x)(|lambda| + k - d_0)
-        return sum(alpha(self.d, 0)) + k - self.d[0]
-
     def guard(self, k: int) -> None:
-        n = self._ambient(k)
+        n = self._base + k
         if _exceeds(self.m, n, self.limit):
             raise DimLimitError(
                 f"slice degree {k} needs ambient dimension {max(self.m, 2)}^{n}"
@@ -684,7 +696,9 @@ class SliceLab:
         """Sparse columns of the i-th differential on the degree-k slice, in
         the realized bases.  The column of s (x) sym(u) is the generator
         image of s with every suffix merged into the tail u; distinct
-        suffixes give distinct merged tails, so entries never collide."""
+        suffixes give distinct merged tails, so entries never collide.  The
+        merged tails of a suffix, one per u, are looked up once and shared
+        by every generator image."""
         if not 1 <= i <= self.m:
             raise ValueError(f"differential index {i} outside 1..{self.m}")
         key = (i, k)
@@ -694,14 +708,20 @@ class SliceLab:
             cols = []
             if src is not None:  # then tgt is not None either: d_{i-1} < d_i
                 n_tgt = len(tgt.multisets)
+                merged: dict = {}  # suffix -> target tail index per source tail u
                 for img in self.generator_images(i):
-                    for u in src.multisets:
-                        col = {}
-                        for suffix, coeffs in img.items():
-                            t = tgt.tail_index[tuple(sorted(suffix + u))]
-                            for r, x in coeffs.items():
-                                col[r * n_tgt + t] = x
-                        cols.append(col)
+                    block = [{} for _ in src.multisets]
+                    for suffix, coeffs in img.items():
+                        tails = merged.get(suffix)
+                        if tails is None:
+                            tails = merged[suffix] = [
+                                tgt.tail_index[tuple(sorted(suffix + u))] for u in src.multisets
+                            ]
+                        for r, x in coeffs.items():
+                            row = r * n_tgt
+                            for col, t in zip(block, tails):
+                                col[row + t] = x
+                    cols += block
                 if k == self.d[i] and tgt.dim and cols and not any(cols):
                     raise ZeroMapError(
                         f"differential {i} vanished at its generator slice {k}"
@@ -795,6 +815,19 @@ def equivariance_spotcheck(d, i: int, k: int, g, lab: SliceLab | None = None) ->
     return mul_columns(mat, src) == mul_columns(tgt, mat)
 
 
+def symmetric_generators(m: int) -> list[tuple[int, ...]]:
+    """The transposition (1 0 2 ... m-1) and the m-cycle (1 2 ... m-1 0) as
+    letter permutations g (letter x goes to g[x]), without repeats or the
+    identity: two for m >= 3, one for m = 2, none for m = 1.  They generate
+    S_m."""
+    gens = []
+    if m >= 2:
+        for g in ((1, 0) + tuple(range(2, m)), tuple(range(1, m)) + (0,)):
+            if g not in gens:
+                gens.append(g)
+    return gens
+
+
 def check_a_linearity(lab: SliceLab, i: int, k: int) -> bool:
     """Multiplication by each variable commutes with the differential between
     slices k and k+1; this is what glues the slice matrices into one map of
@@ -861,17 +894,23 @@ def verify_exactness(
     k_max: int | None = None,
     limit: int | None = None,
     check_alinearity: bool = True,
-    spotcheck_perms: int = 5,
+    check_equivariance: bool = True,
 ) -> Certificate:
     """Build every slice matrix of the complex up to k_max and certify
     d^2 = 0, exactness of each interior slice, injectivity of the last map,
     agreement of the cokernel with the strip-count Hilbert function,
-    minimality, A-linearity coherence and equivariance spotchecks."""
-    d = check_degrees(d)
-    m = len(d) - 1
+    minimality, A-linearity coherence (`check_alinearity`) and
+    equivariance under a transposition and an m-cycle, which generate S_m
+    (`check_equivariance`; see `symmetric_generators`).
+
+    Raises ValueError for d_0 < 0 (the lab realizes polynomial Schur
+    modules only) and for k_max < d_0, where no slice would be checked."""
+    lab = SliceLab(d, limit)
+    d, m = lab.d, lab.m
     if k_max is None:
         k_max = d[-1] + 2
-    lab = SliceLab(d, limit)
+    if k_max < d[0]:
+        raise ValueError(f"k_max = {k_max} is below d_0 = {d[0]}: no slice would be checked")
     lab.guard(k_max)
     # realize every generator slice before any rank work
     for i in range(1, m + 1):
@@ -922,10 +961,8 @@ def verify_exactness(
                     failures.append(("alinearity", i, k))
 
     equi_ok = True
-    if spotcheck_perms:
-        rng = random.Random(20260826)
-        perms = [tuple(rng.sample(range(m), m)) for _ in range(spotcheck_perms)]
-        for g in perms:
+    if check_equivariance:
+        for g in symmetric_generators(m):
             for i in range(1, m + 1):
                 k = min(d[i] + 1, k_max)
                 if not equivariance_spotcheck(d, i, k, g, lab=lab):

@@ -131,6 +131,18 @@ class TestOtherCommands:
         code, _ = run(capsys, "verify", "--d", "0,9,10,11")
         assert code == 3
 
+    def test_verify_kmax_below_d0(self, capsys):
+        code = main(["verify", "--d", "0,2", "--kmax", "-3"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert "k_max" in err and "d_0" in err
+
+    def test_verify_negative_d0(self, capsys):
+        code = main(["verify", "--d=-1,0,2"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert "(-1, 0, 2)" in err and "r must be non-negative" not in err
+
     def test_examples(self, capsys):
         code, out = run(capsys, "examples")
         assert code == 0

@@ -1,3 +1,4 @@
+import copy
 import random
 import time
 from fractions import Fraction
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pureres import exactness
 from pureres.exactness import (
     DimLimitError,
     SliceLab,
@@ -21,6 +23,7 @@ from pureres.exactness import (
     mat_is_zero,
     realize_schur,
     sym_tensor,
+    symmetric_generators,
     symmetrize_trailing,
     tensor_limit,
     verify_dsquared,
@@ -166,12 +169,14 @@ def rational_matrices(draw, nonzero=FRACTIONS, zero=Fraction(0)):
 
 def check_rank(a):
     """mat_rank of a as dense rows and as sparse columns equals the dense
-    Gauss-Jordan rank."""
+    Gauss-Jordan rank, and leaves its input unchanged."""
     ref = dense_rank(a)
-    assert mat_rank(a) == ref
     ncols = len(a[0]) if a else 0
     cols = [{r: row[j] for r, row in enumerate(a) if row[j]} for j in range(ncols)]
+    before = copy.deepcopy((a, cols))
+    assert mat_rank(a) == ref
     assert mat_rank(cols) == ref
+    assert (a, cols) == before
 
 
 class TestSparseRank:
@@ -410,6 +415,94 @@ class TestCheapChecksCatchMutation:
             for g in permutations(range(3))
         )
 
+    def test_equivariance_generators(self):
+        # the transposition and the 3-cycle alone already see the corruption
+        lab = self.mutated_lab()
+        gens = symmetric_generators(3)
+        assert gens == [(1, 0, 2), (1, 2, 0)]
+        assert not all(
+            equivariance_spotcheck(self.D, self.DIFF, self.SLICE, g, lab=lab) for g in gens
+        )
+
+    def test_certificate_reports_equivariance(self, monkeypatch):
+        monkeypatch.setattr(exactness, "SliceLab", lambda d, limit=None: self.mutated_lab())
+        cert = verify_exactness(self.D)
+        assert not cert.equivariance_ok and not cert.passed
+        # d_2 is checked at min(d_2 + 1, k_max), the corrupted slice
+        assert {f[1:3] for f in cert.failures if f[0] == "equivariance"} == {
+            (self.DIFF, self.SLICE)
+        }
+
+
+def compose(g, h):
+    """The letter permutation x -> g[h[x]]."""
+    return tuple(g[x] for x in h)
+
+
+class TestEquivarianceGenerators:
+    """verify_exactness checks equivariance on a generating set of S_m: the
+    letter action is a representation, so that covers every permutation."""
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_generate_symmetric_group(self, m):
+        gens = symmetric_generators(m)
+        assert len(gens) == len(set(gens)) == min(m - 1, 2)
+        identity = tuple(range(m))
+        assert identity not in gens
+        group, frontier = {identity}, [identity]
+        while frontier:
+            frontier = [compose(g, h) for h in frontier for g in gens]
+            frontier = [p for p in frontier if p not in group]
+            group.update(frontier)
+        assert group == set(permutations(range(m)))
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_certificate_checks_the_generators(self, m, monkeypatch):
+        checked = set()
+        spotcheck = exactness.equivariance_spotcheck
+
+        def spy(d, i, k, g, lab=None):
+            checked.add(tuple(g))
+            return spotcheck(d, i, k, g, lab=lab)
+
+        monkeypatch.setattr(exactness, "equivariance_spotcheck", spy)
+        cert = verify_exactness(tuple(range(m + 1)), limit=7**9)
+        assert cert.passed and cert.equivariance_ok
+        assert checked == set(symmetric_generators(m))
+
+    def test_check_can_be_switched_off(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("equivariance checked although switched off")
+
+        monkeypatch.setattr(exactness, "equivariance_spotcheck", boom)
+        assert verify_exactness((0, 1, 2, 3), check_equivariance=False).passed
+
+
+class TestCachedColumnsUnchanged:
+    """The checks read the cached differential columns directly (`mat_rank`
+    among them); none of them may modify a cached column.  In the columns
+    of (0, 1, 2, 4) every vector that meets a pivot has content > 1, so
+    `mat_rank` replaces it before any in-place step; those of (0, 1, 2, 3)
+    and (0, 1, 3, 4) reach the in-place steps with the input vector."""
+
+    @pytest.mark.parametrize("d", [(0, 1, 2, 4), (0, 1, 2, 3), (0, 1, 3, 4)])
+    def test_checks_leave_cache_alone(self, d):
+        m, k_max = len(d) - 1, d[-1] + 2
+        lab = SliceLab(d)
+        for k in range(d[0], k_max + 1):
+            for i in range(1, m + 1):
+                lab.differential_columns(i, k)
+        snapshot = copy.deepcopy(lab._cols)
+        assert any([mat_rank(cols) for cols in lab._cols.values()])  # rank every slice
+        assert verify_dsquared(d, k_max, lab=lab) == (True, [])
+        for i in range(1, m + 1):
+            for k in range(d[0], k_max):
+                assert check_a_linearity(lab, i, k)
+            for g in symmetric_generators(m):
+                for k in range(d[i], k_max + 1):
+                    assert equivariance_spotcheck(d, i, k, g, lab=lab)
+        assert lab._cols == snapshot
+
 
 class TestNoFloats:
     """The lab computes over Z and Q only: every coefficient it stores is an
@@ -462,6 +555,18 @@ class TestCertificates:
         assert c.passed
         assert c.failures == []
         assert "finite certificate" in c.scope_note
+
+    def test_kmax_below_d0_is_refused(self):
+        # such a certificate would check no slice and still pass
+        with pytest.raises(ValueError, match=r"k_max = -3 .*d_0 = 0"):
+            verify_exactness((0, 2), k_max=-3)
+        with pytest.raises(ValueError, match=r"k_max = 1 .*d_0 = 2"):
+            verify_exactness((2, 3, 5), k_max=1)
+        assert verify_exactness((2, 3, 5), k_max=2).k_range == (2, 2)
+
+    def test_negative_d0_is_refused(self):
+        with pytest.raises(ValueError, match=r"\(-1, 0, 2\).*d - d_0 = \(0, 1, 3\)"):
+            verify_exactness((-1, 0, 2))
 
     def test_limit_bails_out(self):
         with pytest.raises(DimLimitError):
