@@ -58,6 +58,15 @@ normalized symmetric tensor:
 The symmetrizer and the Schur coordinates are therefore needed once per
 distinct head word, not once per expanded vector.
 
+Tables are cached on the `SliceLab` by what they depend on.  The tail
+multisets of a symmetric degree j, their index and the map of each
+variable into degree j + 1 are built once per j and shared by every slice
+with that tail degree; merging a suffix into the tails composes those
+variable maps.  The Schur coordinates of a letter permutation g on F_i
+depend only on (i, g), so the equivariance checks of maps i and i + 1
+share F_i's.  Each lab starts empty: nothing is shared between
+certificates.
+
 Slice matrices are about 1-2% nonzero, so the certificate keeps them as
 sparse columns, one {row: nonzero entry} dict per source basis vector;
 integral entries are ints, the others Fractions.  Ranks come from sparse
@@ -114,7 +123,12 @@ class ZeroMapError(Exception):
 
 def tensor_limit() -> int:
     env = os.environ.get("PURERES_TENSOR_LIMIT")
-    return int(env) if env else DEFAULT_TENSOR_LIMIT
+    if not env:
+        return DEFAULT_TENSOR_LIMIT
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"PURERES_TENSOR_LIMIT={env!r} is not an integer") from None
 
 
 def _exceeds(m: int, n: int, limit: int) -> bool:
@@ -215,7 +229,7 @@ class YoungSymmetrizer:
     def row_key(self, word) -> tuple:
         """The sorted letters of every row: the same for exactly the row
         rearrangements of word."""
-        return tuple(tuple(sorted(word[s] for s in row)) for row in self.rows)
+        return tuple([tuple(sorted([word[s] for s in row])) for row in self.rows])
 
     def apply(self, vec: Vec) -> Vec:
         out: Vec = {}
@@ -250,7 +264,7 @@ class YoungSymmetrizer:
 
 def _stabilizer(key) -> int:
     """Number of row permutations that fix a word with row key `key`."""
-    return prod(factorial(letters.count(x)) for letters in key for x in set(letters))
+    return prod([factorial(letters.count(x)) for letters in key for x in set(letters)])
 
 
 def _placed(base: list, slots, letters) -> list:
@@ -358,7 +372,7 @@ class SubspaceBasis:
         for j, w in enumerate(words):
             cut._pivots = pivots[j:]
             cols.append(cut._reduce({w: 1})[1])
-        den = lcm(*(x.denominator for col in cols for x in col.values()))
+        den = lcm(*[x.denominator for col in cols for x in col.values()])
         return words, [{r: int(x * den) for r, x in col.items()} for col in cols], den
 
 
@@ -420,22 +434,30 @@ def mat_rank(a) -> int:
     keeps the rank, and every vector is then eliminated over Z: while its
     leading index has a pivot p it becomes p_lead v - v_lead p (both
     divided by their gcd), and once the leading index is new it becomes
-    the pivot of that index.  Every vector is divided by the gcd of its
-    entries, which keeps the numbers small.  Each vector is copied first,
-    so the input is never modified."""
+    the pivot of that index.  To keep the numbers small a vector is
+    divided by its content (the gcd of its entries) after every reduction
+    and when it becomes a pivot, so an input vector that meets a pivot
+    skips that gcd.  Each vector is copied first, so the input is never
+    modified."""
     pivots: dict = {}
     for vec in a:
-        v = {j: x for j, x in (vec.items() if isinstance(vec, dict) else enumerate(vec)) if x}
-        if not all(type(x) is int for x in v.values()):
-            den = lcm(*(x.denominator for x in v.values()))
-            v = {j: x.numerator * (den // x.denominator) for j, x in v.items()}
+        v = dict(vec) if isinstance(vec, dict) else dict(enumerate(vec))
+        if 0 in v.values():
+            v = {j: x for j, x in v.items() if x}
+        for x in v.values():
+            if type(x) is not int:
+                den = lcm(*[y.denominator for y in v.values()])
+                v = {j: y.numerator * (den // y.denominator) for j, y in v.items()}
+                break
+        primitive = False  # content already divided out
         while v:
-            content = gcd(*v.values())
-            if content > 1:
-                v = {j: x // content for j, x in v.items()}
             lead = min(v)
             p = pivots.get(lead)
             if p is None:
+                if not primitive:
+                    content = gcd(*v.values())
+                    if content > 1:
+                        v = {j: x // content for j, x in v.items()}
                 pivots[lead] = v
                 break
             g = gcd(p[lead], v[lead])
@@ -448,6 +470,10 @@ def mat_rank(a) -> int:
                     v[j] = y
                 else:
                     del v[j]
+            content = gcd(*v.values())
+            if content > 1:
+                v = {j: x // content for j, x in v.items()}
+            primitive = True
     return len(pivots)
 
 
@@ -515,7 +541,7 @@ def _ssyt_words(lam, m: int, boxes) -> list:
             t + (row,)
             for t in tableaux
             for row in rows
-            if not t or all(x > y for x, y in zip(row, t[-1]))
+            if not t or all([x > y for x, y in zip(row, t[-1])])
         ]
     words = []
     for t in tableaux:
@@ -581,14 +607,15 @@ class SliceSpace:
     (h, u) to a single (h', u') with coefficient 1, because the normalized
     symmetrizer sends every anagram of a multiset to the same sym(u).
 
-    The basis is independent because the Schur basis is and the tail
-    multisets are distinct, so nothing is echelonized here."""
+    `tails` is the lab's table of degree j: the multisets and their index,
+    shared with every slice of that tail degree.  The basis is independent
+    because the Schur basis is and the tail multisets are distinct, so
+    nothing is echelonized here."""
 
-    def __init__(self, schur: SchurRealization, sym_degree: int):
+    def __init__(self, schur: SchurRealization, sym_degree: int, tails: tuple[list, dict]):
         self.schur = schur
         self.sym_degree = sym_degree
-        self.multisets = list(combinations_with_replacement(range(schur.m), sym_degree))
-        self.tail_index = {u: j for j, u in enumerate(self.multisets)}
+        self.multisets, self.tail_index = tails
 
     @property
     def dim(self) -> int:
@@ -596,9 +623,13 @@ class SliceSpace:
 
 
 class SliceLab:
-    """Shared realization context for one degree sequence: caches Schur
-    realizations (all in the chain filling), slice spaces, generator images
-    and the sparse columns of the differentials."""
+    """Shared realization context for one degree sequence.  Its caches are
+    keyed by what their entries depend on: per term i the Schur
+    realizations (all in the chain filling) and generator images, per
+    (i, g) the Schur actions of letter permutations, per tail degree j the
+    tail tables, variable maps and merged suffix tails, per slice (i, k)
+    the slice spaces and differential columns, and per (i, k, var) the
+    `times_var` maps."""
 
     def __init__(self, d, limit: int | None = None):
         self.d = check_degrees(d)
@@ -617,6 +648,11 @@ class SliceLab:
         self._spaces: dict = {}
         self._cols: dict = {}
         self._images: dict = {}
+        self._tails: dict = {}
+        self._var_maps: dict = {}
+        self._merged: dict = {}
+        self._times: dict = {}
+        self._actions: dict = {}
 
     def guard(self, k: int) -> None:
         n = self._base + k
@@ -634,6 +670,39 @@ class SliceLab:
             )
         return self._schur[i]
 
+    def tails(self, j: int) -> tuple[list, dict]:
+        """The sorted tail multisets of degree j, in the order of
+        combinations_with_replacement, and their index."""
+        t = self._tails.get(j)
+        if t is None:
+            multisets = list(combinations_with_replacement(range(self.m), j))
+            t = self._tails[j] = (multisets, {u: n for n, u in enumerate(multisets)})
+        return t
+
+    def var_maps(self, j: int) -> list:
+        """For each variable v, the list over the tails u of degree j of the
+        index of sorted(u + (v,)) in degree j + 1."""
+        up = self._var_maps.get(j)
+        if up is None:
+            multisets = self.tails(j)[0]
+            index = self.tails(j + 1)[1]
+            up = self._var_maps[j] = [
+                [index[tuple(sorted(u + (v,)))] for u in multisets] for v in range(self.m)
+            ]
+        return up
+
+    def merged_tails(self, j: int, suffix: tuple) -> list:
+        """The list over the tails u of degree j of the index of
+        sorted(u + suffix) in degree j + |suffix|: the variable maps of the
+        suffix letters composed, one letter at a time."""
+        key = (j, suffix)
+        t = self._merged.get(key)
+        if t is None:
+            up = self.var_maps(j + len(suffix) - 1)[suffix[-1]]
+            t = up if len(suffix) == 1 else [up[x] for x in self.merged_tails(j, suffix[:-1])]
+            self._merged[key] = t
+        return t
+
     def space(self, i: int, k: int) -> SliceSpace:
         """Realized (F_i)_k; zero-dimensional below the generator degree."""
         key = (i, k)
@@ -642,10 +711,9 @@ class SliceLab:
             if k < self.d[i]:
                 sp = None
             else:
-                sp = SliceSpace(self.schur(i), k - self.d[i])
-                expected = self.table.ranks[i] * comb(
-                    k - self.d[i] + self.m - 1, self.m - 1
-                )
+                j = k - self.d[i]
+                sp = SliceSpace(self.schur(i), j, self.tails(j))
+                expected = self.table.ranks[i] * comb(j + self.m - 1, self.m - 1)
                 if sp.dim != expected:
                     raise DimMismatchError(
                         f"slice ({i}, {k}) has dimension {sp.dim}, expected {expected}"
@@ -695,10 +763,9 @@ class SliceLab:
     def differential_columns(self, i: int, k: int) -> list:
         """Sparse columns of the i-th differential on the degree-k slice, in
         the realized bases.  The column of s (x) sym(u) is the generator
-        image of s with every suffix merged into the tail u; distinct
-        suffixes give distinct merged tails, so entries never collide.  The
-        merged tails of a suffix, one per u, are looked up once and shared
-        by every generator image."""
+        image of s with every suffix merged into the tail u
+        (`merged_tails`); distinct suffixes give distinct merged tails, so
+        entries never collide."""
         if not 1 <= i <= self.m:
             raise ValueError(f"differential index {i} outside 1..{self.m}")
         key = (i, k)
@@ -707,16 +774,11 @@ class SliceLab:
             tgt = self.space(i - 1, k)
             cols = []
             if src is not None:  # then tgt is not None either: d_{i-1} < d_i
-                n_tgt = len(tgt.multisets)
-                merged: dict = {}  # suffix -> target tail index per source tail u
+                j, n_tgt = src.sym_degree, len(tgt.multisets)
                 for img in self.generator_images(i):
                     block = [{} for _ in src.multisets]
                     for suffix, coeffs in img.items():
-                        tails = merged.get(suffix)
-                        if tails is None:
-                            tails = merged[suffix] = [
-                                tgt.tail_index[tuple(sorted(suffix + u))] for u in src.multisets
-                            ]
+                        tails = self.merged_tails(j, suffix)
                         for r, x in coeffs.items():
                             row = r * n_tgt
                             for col, t in zip(block, tails):
@@ -740,13 +802,19 @@ class SliceLab:
         (F_i)_{k+1}, as an index map: s (x) sym(u) goes to s (x) sym(u +
         var), so basis vector number n goes to number out[n] with
         coefficient 1.  The map is injective."""
-        src = self.space(i, k)
-        if src is None:
-            return []
-        tgt = self.space(i, k + 1)
-        n_tgt = len(tgt.multisets)
-        tails = [tgt.tail_index[tuple(sorted(u + (var,)))] for u in src.multisets]
-        return [s * n_tgt + t for s in range(src.schur.dim) for t in tails]
+        key = (i, k, var)
+        out = self._times.get(key)
+        if out is None:
+            if not 0 <= var < self.m:
+                raise ValueError(f"variable {var} outside 0..{self.m - 1}")
+            src = self.space(i, k)
+            out = []
+            if src is not None:
+                n_tgt = len(self.space(i, k + 1).multisets)
+                up = self.var_maps(src.sym_degree)[var]
+                out = [s * n_tgt + t for s in range(src.schur.dim) for t in up]
+            self._times[key] = out
+        return out
 
     def multiplication(self, i: int, k: int, var: int):
         """Matrix of multiplication by the var-th basis variable,
@@ -754,26 +822,38 @@ class SliceLab:
         cols = [{r: Fraction(1)} for r in self.times_var(i, k, var)]
         return _dense(cols, self.slice_dim(i, k + 1))
 
+    def schur_action(self, i: int, g) -> list:
+        """Schur coordinates of g(s) for every Schur basis vector s of F_i,
+        g a permutation of the basis letters.  g(s) is in im Y, so they
+        come from its values at the pivot words: the value of g(s) at w is
+        the value of s at g^-1(w)."""
+        key = (i, tuple(g))
+        acts = self._actions.get(key)
+        if acts is None:
+            schur = self.schur(i)
+            inverse = {y: x for x, y in enumerate(g)}
+            pulled = [tuple([inverse[y] for y in w]) for w in schur.pivots]
+            acts = []
+            for s in schur.basis:
+                scaled = schur.scaled_coords({j: s[w] for j, w in enumerate(pulled) if w in s})
+                acts.append({r: _ratio(z, schur.denom) for r, z in scaled.items() if z})
+            self._actions[key] = acts
+        return acts
+
     def letter_action_columns(self, i: int, k: int, g) -> list:
         """Sparse columns of the permutation g of basis letters on (F_i)_k:
-        s (x) sym(u) goes to g(s) (x) sym(g(u)).  g(s) is in im Y, so its
-        Schur coordinates come from its values at the pivot words: the
-        value of g(s) at w is the value of s at g^-1(w)."""
+        s (x) sym(u) goes to g(s) (x) sym(g(u)), with g(s) from
+        `schur_action`."""
         sp = self.space(i, k)
         if sp is None:
             return []
-        schur = sp.schur
-        n = len(sp.multisets)
-        tails = [sp.tail_index[tuple(sorted(g[x] for x in u))] for u in sp.multisets]
-        inverse = {y: x for x, y in enumerate(g)}
-        pulled = [tuple(inverse[y] for y in w) for w in schur.pivots]
-        cols = []
-        for s in schur.basis:
-            scaled = schur.scaled_coords({j: s[w] for j, w in enumerate(pulled) if w in s})
-            coeffs = {r: _ratio(z, schur.denom) for r, z in scaled.items() if z}
-            for t in tails:
-                cols.append({r * n + t: x for r, x in coeffs.items()})
-        return cols
+        n, index = len(sp.multisets), sp.tail_index
+        tails = [index[tuple(sorted([g[x] for x in u]))] for u in sp.multisets]
+        return [
+            {r * n + t: x for r, x in coeffs.items()}
+            for coeffs in self.schur_action(i, g)
+            for t in tails
+        ]
 
     def letter_action(self, i: int, k: int, g) -> list:
         """Matrix of the permutation g of basis letters on (F_i)_k."""
@@ -833,15 +913,23 @@ def check_a_linearity(lab: SliceLab, i: int, k: int) -> bool:
     slices k and k+1; this is what glues the slice matrices into one map of
     free modules.  Multiplication by x_v sends basis vectors injectively to
     basis vectors, so d_{k+1} x_v = x_v d_k says: column x_v(c) of d_{k+1}
-    is column c of d_k with every row r moved to x_v(r)."""
+    is column c of d_k with every row r moved to x_v(r).  x_v is injective
+    and stored columns hold no zeros, so the two columns are equal when
+    they have as many entries and every entry (r, x) of column c is x at
+    x_v(r) of column x_v(c)."""
     d_k = lab.differential_columns(i, k)
     d_k1 = lab.differential_columns(i, k + 1)
     for var in range(lab.m):
         src = lab.times_var(i, k, var)
         tgt = lab.times_var(i - 1, k, var)
-        for c, col in enumerate(d_k):
-            if d_k1[src[c]] != {tgt[r]: x for r, x in col.items()}:
+        for col, c1 in zip(d_k, src):
+            moved = d_k1[c1]
+            if len(moved) != len(col):
                 return False
+            get = moved.get
+            for r, x in col.items():
+                if get(tgt[r]) != x:
+                    return False
     return True
 
 

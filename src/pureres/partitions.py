@@ -124,9 +124,10 @@ def _strips(
     return [(shifted, e - left, num) for shifted, left, num in level]
 
 
-def pieri_expand(lam, e: int, max_rows: int) -> list[tuple[int, ...]]:
+def pieri_expand(lam, e: int, max_rows: int, cap: int | None = None) -> list[tuple[int, ...]]:
     """All mu with at most max_rows rows such that mu/lam is a horizontal
-    strip of size e, in lexicographic descending order.
+    strip of size e, in lexicographic descending order; with a cap, only
+    those with mu_1 <= cap, which are enumerated alone.
 
     This is the multiplicity-free Pieri decomposition of
     S_lam(E) (x) Sym_e(E) for dim E = max_rows.
@@ -134,11 +135,14 @@ def pieri_expand(lam, e: int, max_rows: int) -> list[tuple[int, ...]]:
     lam = check_partition(lam)
     if len(lam) > max_rows:
         raise ValueError(f"{lam} has more than {max_rows} nonzero parts")
-    if e < 0:
+    top = part(lam, 0) + e
+    if cap is not None and cap < top:
+        top = cap
+    if e < 0 or top < part(lam, 0):
         return []
     return [
         trim(tuple(l - max_rows + i for i, l in enumerate(shifted)))
-        for shifted, _, _ in _strips(lam, e, max_rows, part(lam, 0) + e, weyl=False)
+        for shifted, _, _ in _strips(lam, e, max_rows, top, weyl=False)
     ]
 
 

@@ -81,11 +81,19 @@ def _boundary(above: int, below: int) -> str:
     return "".join(chars)
 
 
+# Largest partition (in boxes) that `young_diagram` draws; a bigger one
+# gets a one-line note instead, since its weight is printed anyway and the
+# picture would take time and memory in proportion to its size.
+DIAGRAM_BOX_LIMIT = 1000
+
+
 def young_diagram(weight) -> list[str]:
     """Unicode box rendering of a partition, rows = parts."""
     rows = [p for p in weight if p > 0]
     if not rows:
         return ["(empty)"]
+    if sum(rows) > DIAGRAM_BOX_LIMIT:
+        return [f"({sum(rows)} boxes, more than {DIAGRAM_BOX_LIMIT}: not drawn)"]
     lines = [_boundary(0, rows[0])]
     for i, p in enumerate(rows):
         lines.append("│" + "  │" * p)

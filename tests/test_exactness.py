@@ -3,9 +3,10 @@ import random
 import time
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import gcd
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pureres import exactness
@@ -167,6 +168,25 @@ def rational_matrices(draw, nonzero=FRACTIONS, zero=Fraction(0)):
     return a
 
 
+@st.composite
+def content_after_reduction(draw):
+    """(p, v, rest): p leads at index 0, v = p + c w with c > 1 and w zero at
+    index 0, so v meets p's pivot and v - p = c w has content >= c; rest
+    are a few more integer rows of the same width."""
+    n = draw(st.integers(2, 6))
+    p = [draw(INTS)] + draw(st.lists(st.one_of(st.just(0), INTS), min_size=n - 1, max_size=n - 1))
+    c = draw(st.integers(2, 6))
+    w = [0] + draw(st.lists(st.one_of(st.just(0), INTS), min_size=n - 1, max_size=n - 1))
+    v = [x + c * y for x, y in zip(p, w)]
+    assume(gcd(*[x for x in v if x]) == 1)
+    rest = draw(
+        st.lists(
+            st.lists(st.one_of(st.just(0), INTS, BIG_INTS), min_size=n, max_size=n), max_size=3
+        )
+    )
+    return p, v, rest
+
+
 def check_rank(a):
     """mat_rank of a as dense rows and as sparse columns equals the dense
     Gauss-Jordan rank, and leaves its input unchanged."""
@@ -203,6 +223,30 @@ class TestSparseRank:
     @example([[1, Fraction(1, 2)], [Fraction(2, 3), Fraction(1, 3)]])
     def test_int_and_mixed_entries(self, a):
         check_rank(a)
+
+    # integral Fractions next to ints: a vector with either is cleared of
+    # denominators, and dense rows (every entry nonzero) mix both kinds
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(
+        st.one_of(
+            rational_matrices(st.one_of(INTS, st.builds(Fraction, INTS))),
+            rational_matrices(st.one_of(INTS, FRACTIONS, st.builds(Fraction, BIG_INTS))),
+        )
+    )
+    @example([[Fraction(2), 4], [1, Fraction(2)]])
+    @example([[Fraction(6), 4, 2], [3, Fraction(2), 1], [1, 1, Fraction(1, 2)]])
+    def test_integral_fractions_and_dense_rows(self, a):
+        check_rank(a)
+
+    # content 1 on input, content c > 1 only once p is subtracted
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(content_after_reduction())
+    @example(([1, 1, 0], [1, 3, 2], [[0, 1, 1]]))
+    def test_content_appears_after_reduction(self, case):
+        p, v, rest = case
+        rows = [p, v] + rest
+        check_rank(rows)
+        check_rank([list(col) for col in zip(*rows)])
 
 
 class TestRealizeSchur:
@@ -479,20 +523,35 @@ class TestEquivarianceGenerators:
 
 
 class TestCachedColumnsUnchanged:
-    """The checks read the cached differential columns directly (`mat_rank`
-    among them); none of them may modify a cached column.  In the columns
-    of (0, 1, 2, 4) every vector that meets a pivot has content > 1, so
-    `mat_rank` replaces it before any in-place step; those of (0, 1, 2, 3)
-    and (0, 1, 3, 4) reach the in-place steps with the input vector."""
+    """The checks read the lab's cached tables directly: the differential
+    columns (`mat_rank` among them), the tail tables and variable maps, the
+    merged suffix tails, the `times_var` lists and the Schur actions of
+    letter permutations.  None of them may modify a cached entry or add
+    one beyond what the tables were filled with."""
+
+    TABLES = ("_spaces", "_cols", "_tails", "_var_maps", "_merged", "_times", "_actions")
+
+    @staticmethod
+    def fill(lab, k_max):
+        m = lab.m
+        for k in range(lab.d[0], k_max + 1):
+            for i in range(m + 1):
+                if i:
+                    lab.differential_columns(i, k)
+                if k < k_max:
+                    for var in range(m):
+                        lab.times_var(i, k, var)
+                for g in symmetric_generators(m):
+                    lab.letter_action_columns(i, k, g)
 
     @pytest.mark.parametrize("d", [(0, 1, 2, 4), (0, 1, 2, 3), (0, 1, 3, 4)])
     def test_checks_leave_cache_alone(self, d):
         m, k_max = len(d) - 1, d[-1] + 2
         lab = SliceLab(d)
-        for k in range(d[0], k_max + 1):
-            for i in range(1, m + 1):
-                lab.differential_columns(i, k)
-        snapshot = copy.deepcopy(lab._cols)
+        self.fill(lab, k_max)
+        assert all(getattr(lab, name) for name in self.TABLES)
+        spaces = dict(lab._spaces)  # by identity: a space holds its Schur module
+        snapshot = copy.deepcopy({name: getattr(lab, name) for name in self.TABLES[1:]})
         assert any([mat_rank(cols) for cols in lab._cols.values()])  # rank every slice
         assert verify_dsquared(d, k_max, lab=lab) == (True, [])
         for i in range(1, m + 1):
@@ -501,7 +560,30 @@ class TestCachedColumnsUnchanged:
             for g in symmetric_generators(m):
                 for k in range(d[i], k_max + 1):
                     assert equivariance_spotcheck(d, i, k, g, lab=lab)
-        assert lab._cols == snapshot
+        assert {name: getattr(lab, name) for name in snapshot} == snapshot
+        assert lab._spaces == spaces
+        for (i, k), sp in spaces.items():  # spaces share the tail tables
+            if sp is not None:
+                multisets, index = lab._tails[k - d[i]]
+                assert sp.multisets is multisets and sp.tail_index is index
+
+    @pytest.mark.parametrize("d", CORPUS)
+    def test_cached_maps_match_fresh_lab(self, d):
+        # one lab fills its tables slice after slice, so most entries are
+        # reused from another slice or another term; a fresh lab per slice
+        # degree k builds them at k first
+        m, k_max = len(d) - 1, d[-1] + 2
+        warm = SliceLab(d)
+        self.fill(warm, k_max)
+        for k in range(d[0], k_max + 1):
+            fresh = SliceLab(d)
+            for i in range(m, -1, -1):
+                for g in permutations(range(m)):
+                    assert warm.letter_action_columns(i, k, g) == fresh.letter_action_columns(
+                        i, k, g
+                    ), (i, k, g)
+                for var in range(m):
+                    assert warm.times_var(i, k, var) == fresh.times_var(i, k, var), (i, k, var)
 
 
 class TestNoFloats:

@@ -132,6 +132,14 @@ class TestPieriOracle:
         m = min(len(lam) + extra_rows, 4)
         assert pieri_expand(lam, e, m) == brute_strips(lam, e, m)
 
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(partitions(4, 4), st.integers(-1, 5), st.integers(0, 2), st.integers(-2, 10))
+    def test_cap_filters_first_part(self, lam, e, extra_rows, cap):
+        # the capped walk enumerates only the strips with mu_1 <= cap, any cap
+        m = max(min(len(lam) + extra_rows, 4), 1)
+        full = pieri_expand(lam, e, m)
+        assert pieri_expand(lam, e, m, cap=cap) == [mu for mu in full if part(mu, 0) <= cap]
+
 
 class TestPieriDimsOracle:
     @settings(derandomize=True, database=None, max_examples=100, deadline=None)
