@@ -313,6 +313,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # a rank the tables accept may have more digits than CPython converts
+    # to a string by default (4300); lift that cap for this command only
+    digits = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
+    if digits is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except resolutions.ResourceLimitError as exc:
@@ -321,6 +326,9 @@ def main(argv=None) -> int:
     except (ValueError, resolutions.BettiRayError, bott_mod.ScanMismatchError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    finally:
+        if digits is not None:
+            sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

@@ -21,24 +21,32 @@ nonzero scalar, which changes no slice rank and keeps d^2 = 0,
 A-linearity and equivariance.
 
 Schur bases.  The symmetrizer Y (row symmetrizer, then column
-antisymmetrizer) applied to {word: 1} has integer entries.  `realize_schur`
-projects one word per semistandard tableau of alpha with entries < m, each
-entry placed in the slot of its box: exactly dim S_alpha(E) words.  For
-the row-major filling T0 their images are independent (Fulton, Young
-Tableaux, 1997, sections 7-8).  Any other standard filling is T' = pi T0
-for a slot permutation pi; then Y_T' = pi Y_T0 pi^-1 and the box-placed
-words move by the same pi, so Y_T'(pi w) = pi Y_T0(w) and independence
-carries over.  The rank is still checked against the Weyl dimension.
+antisymmetrizer) applied to {word: 1} has integer entries.  The basis of a
+Schur module is Y(w) for the words w of the semistandard tableaux of
+alpha with entries < m, each entry placed in the slot of its box: exactly
+dim S_alpha(E) words, which are also the pivot words P (`realize_schur`).
+The value of Y(p) at a word w is the number of row permutations fixing p
+times the sum of sign(q) over the column permutations q for which q.w is a
+row rearrangement of p.  A per-module table (`at_pivots`) holds that sum
+for every pivot word and row key, so the dim x dim integer matrix V of the
+values of the Y(w) at P costs one lookup per entry, and no basis vector
+is stored expanded.
 
-Schur coordinates.  Each module keeps the pivot words P of its echelon and
-an integer matrix N with a denominator D such that every vector v of im Y
-has coordinates N (v at P) / D (`SubspaceBasis.pivot_solver`).  The lab
-only asks for coordinates of vectors of im Y, so it never needs a full
-residual reduction: Y(p) is in im Y for every word p, and a permutation g
-of the letters commutes with every permutation of the slots, so
-g Y(x) = Y(g x) and g(s) is in im Y for every s in it.  The value of Y(p)
-at a pivot word w is read off a per-module table (`scaled_image`), and the
-value of g(s) at w is the value of s at g^-1(w).
+Soundness.  Exact elimination proves V nonsingular.  A linear relation
+among the Y(w) would hold among their values at P, that is among the
+columns of V, so they are independent.  They are dim_gl(alpha, m) many,
+and im Y is a copy of S_alpha(E) for every standard filling, of that
+dimension; so they are a basis of im Y.  A singular V raises
+DimMismatchError instead.
+
+Schur coordinates.  The same elimination gives an integer matrix N with a
+denominator D, N / D = V^-1: every vector v of im Y has coordinates
+N (v at P) / D.  The lab only asks for coordinates of vectors of im Y, so
+it never needs a full residual reduction: Y(p) is in im Y for every word
+p, and a permutation g of the letters commutes with every permutation of
+the slots, so g Y(x) = Y(g x).  The coordinates of Y(p) come from its
+values at P (`scaled_image`), and those of g(Y(w)) are the coordinates of
+Y(g w); only the generator images expand a basis vector, one at a time.
 
 Symmetric tails are never expanded into their anagrams.  A slice vector is
 stored as {(head word, sorted tail multiset): c}, where c is the sum of its
@@ -310,73 +318,6 @@ def symmetrize_trailing(vec: Vec, start: int) -> Vec:
 
 
 # ---------------------------------------------------------------------------
-# echelonized subspace bases with coordinate recovery
-
-
-class SubspaceBasis:
-    """Incrementally echelonized spanning set with exact coordinates of new
-    vectors in terms of the accepted ones.  Echelon vectors are kept as
-    reduced, not scaled to lead with 1, so integer input stays integer."""
-
-    def __init__(self):
-        self._pivots = []  # (pivot_word, echelon vec, combo dict idx -> coefficient)
-        self.count = 0
-
-    def _reduce(self, vec: Vec):
-        vec = dict(vec)
-        combo: dict = {}
-        for pw, pv, pc in self._pivots:
-            c = vec.get(pw)
-            if c:
-                f = _ratio(c, pv[pw])
-                _add_scaled(vec, pv, -f)
-                _add_scaled(combo, pc, f)
-        return vec, combo
-
-    def add(self, vec: Vec, pivot=None) -> bool:
-        """Accept vec if independent of the current span; returns whether it
-        was accepted (as original basis vector number `count`).  The word
-        `pivot` becomes its pivot word if the reduced vec is nonzero there,
-        else the least word of the reduced vec does."""
-        res, combo = self._reduce(vec)
-        if not res:
-            return False
-        pc = {idx: -x for idx, x in combo.items()}
-        pc[self.count] = 1
-        self._pivots.append((pivot if res.get(pivot) else min(res), res, pc))
-        self.count += 1
-        return True
-
-    def coords(self, vec: Vec) -> dict:
-        """Coordinates of vec in the accepted original vectors; raises
-        ValueError if vec is outside the span."""
-        res, combo = self._reduce(vec)
-        if res:
-            raise ValueError("vector outside subspace span")
-        return combo
-
-    def pivot_solver(self) -> tuple[list, list, int]:
-        """(pivot words P, sparse columns of an integer matrix N, D > 0)
-        such that a vector v of the span has coordinates N (v at P) / D.
-
-        `_reduce` reads a vector only at the pivot words, and its updates
-        there depend only on the echelon vectors there, so reducing v|P by
-        the echelon vectors cut to P yields the coordinates of v.  They are
-        linear in v|P; column j of N/D is the reduction of the unit vector
-        at P[j], which the echelon vectors before the j-th leave alone."""
-        words = [pw for pw, _, _ in self._pivots]
-        at = set(words)
-        pivots = [(pw, {w: x for w, x in pv.items() if w in at}, pc) for pw, pv, pc in self._pivots]
-        cut = SubspaceBasis()
-        cols = []
-        for j, w in enumerate(words):
-            cut._pivots = pivots[j:]
-            cols.append(cut._reduce({w: 1})[1])
-        den = lcm(*[x.denominator for col in cols for x in col.values()])
-        return words, [{r: int(x * den) for r, x in col.items()} for col in cols], den
-
-
-# ---------------------------------------------------------------------------
 # rational matrices
 #
 # Inside the lab a matrix is a list of sparse columns, one {row: nonzero
@@ -492,22 +433,21 @@ class SchurRealization(
             "lam",
             "m",
             "symmetrizer",  # its filling orders the slots of the basis words
-            "basis",  # projected vectors spanning the symmetrizer image
-            "echelon",  # the same vectors, echelonized for coordinates
-            "pivots",  # pivot words P of the echelon
+            "pivots",  # words P: basis vector s is Y(P[s]), Y the symmetrizer
             "solve",  # sparse columns of N, one per pivot word
             "denom",  # D: a vector v of the image has coordinates N (v at P) / D
             "at_pivots",  # row key r -> {j: sum of sign(q) over column perms q with key(q.P[j]) = r}
         ],
     )
 ):
-    """An explicit basis of S_lam(E), dim E = m, inside E^(x)|lam|."""
+    """An explicit basis of S_lam(E), dim E = m, inside E^(x)|lam|: the
+    images Y(P[s]) of the pivot words, never stored expanded."""
 
     __slots__ = ()
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.pivots)
 
     def scaled_coords(self, values: dict) -> dict:
         """D times the coordinates of the vector of the symmetrizer image
@@ -520,14 +460,20 @@ class SchurRealization(
         return acc
 
     def scaled_image(self, word) -> dict:
-        """D times the coordinates of Y(word), Y the symmetrizer.  Y sums
-        sign(q) q p over the column permutations q and row permutations p,
-        so the value of Y(word) at w is the number of row permutations
-        fixing word times the sum of sign(q) over the q for which q.w is a
-        row rearrangement of word: `at_pivots` of the row key of word."""
-        key = self.symmetrizer.row_key(word)
-        mult = _stabilizer(key)
-        return self.scaled_coords({j: mult * x for j, x in self.at_pivots.get(key, {}).items()})
+        """D times the coordinates of Y(word), from its values at the pivot
+        words (`_values_at_pivots`)."""
+        return self.scaled_coords(_values_at_pivots(self.symmetrizer, self.at_pivots, word))
+
+
+def _values_at_pivots(sym: YoungSymmetrizer, at_pivots: dict, word) -> dict:
+    """{j: value of Y(word) at P[j]}, zeros left out.  Y sums sign(q) q p
+    over the column permutations q and row permutations p, so the value of
+    Y(word) at w is the number of row permutations fixing word times the
+    sum of sign(q) over the q for which q.w is a row rearrangement of word:
+    `at_pivots` of the row key of word."""
+    key = sym.row_key(word)
+    mult = _stabilizer(key)
+    return {j: mult * x for j, x in at_pivots.get(key, {}).items()}
 
 
 def _ssyt_words(lam, m: int, boxes) -> list:
@@ -552,16 +498,44 @@ def _ssyt_words(lam, m: int, boxes) -> list:
     return words
 
 
-def realize_schur(lam, m: int, limit: int | None = None, boxes=None) -> SchurRealization:
-    """Basis of the Young-symmetrizer image inside E^(x)|lam|: the images of
-    the words of the semistandard tableaux of lam, one per tableau, which
-    are exactly dim S_lam(E) words.  Images of {word: 1} have integer
-    entries.  The rank is checked against the Weyl dimension formula.
+def _inverse(columns: list) -> list | None:
+    """Sparse columns of V^-1, V the square matrix with the sparse columns
+    `columns` ({row: entry}), or None if V is singular.  The columns are
+    echelonized in order, each reduced by the earlier ones at their pivot
+    rows; one that reduces to zero makes V singular.  Column j of V^-1 is
+    then the coordinates of the unit vector at row j, which the same
+    reduction finds: every row is a pivot row, so nothing is left over."""
+    echelon = []  # (pivot row, reduced column, it in terms of the input columns)
 
-    The words are projected last tableau first, each offered as the pivot
-    of its own image.  On every shape measured an image vanishes at the
-    words of the later tableaux, so the echelon keeps the images
-    unreduced and the pivot solver is nearly diagonal."""
+    def reduce(v: dict) -> tuple[dict, dict]:
+        combo: dict = {}
+        for p, pv, pc in echelon:
+            x = v.get(p)
+            if x:
+                f = _ratio(x, pv[p])
+                _add_scaled(v, pv, -f)
+                _add_scaled(combo, pc, f)
+        return v, combo
+
+    for s, col in enumerate(columns):
+        v, combo = reduce(dict(col))
+        if not v:
+            return None
+        combo = {r: -x for r, x in combo.items()}
+        combo[s] = 1
+        echelon.append((s if s in v else min(v), v, combo))
+    return [reduce({j: 1})[1] for j in range(len(columns))]
+
+
+def realize_schur(lam, m: int, limit: int | None = None, boxes=None) -> SchurRealization:
+    """Basis of the Young-symmetrizer image inside E^(x)|lam|: the images
+    Y(w) of the words w of the semistandard tableaux of lam, last tableau
+    first, which are exactly dim S_lam(E) words and also the pivot words P.
+    Nothing is expanded: the value of Y(w) at P[j] is read off the pivot
+    table, and the dim x dim matrix V of these values is inverted exactly.
+    A nonsingular V makes the images independent, hence a basis; a
+    singular one raises DimMismatchError.  On every shape measured V is
+    lower triangular, so the echelon keeps its columns unreduced."""
     lam = trim(lam)
     if limit is None:
         limit = tensor_limit()
@@ -569,35 +543,32 @@ def realize_schur(lam, m: int, limit: int | None = None, boxes=None) -> SchurRea
     if _exceeds(m, t, limit):
         raise DimLimitError(f"ambient dimension {max(m, 2)}^{t} exceeds limit {limit}")
     sym = YoungSymmetrizer(lam, boxes)
-    ech = SubspaceBasis()
-    basis = []
-    for word in reversed(_ssyt_words(lam, m, sym.boxes)):
-        v = sym.apply({word: 1})
-        if v and ech.add(v, pivot=word):
-            basis.append(v)
+    pivots = _ssyt_words(lam, m, sym.boxes)[::-1]
     target = dim_gl(lam, m)
-    if len(basis) != target:
-        raise DimMismatchError(
-            f"symmetrizer image of {lam} over dim {m} has rank {len(basis)}, expected {target}"
-        )
-    pivots, solve, denom = ech.pivot_solver()
+    if len(pivots) != target:
+        raise DimMismatchError(f"{len(pivots)} tableaux of {lam} over dim {m}, expected {target}")
     at_pivots: dict = {}
     for j, w in enumerate(pivots):
         for gather, sign in sym.column_moves:
             key = sym.row_key(gather(w))
             row = at_pivots.setdefault(key, {})
             row[j] = row.get(j, 0) + sign
+    at_pivots = {key: {j: x for j, x in row.items() if x} for key, row in at_pivots.items()}
+    inverse = _inverse([_values_at_pivots(sym, at_pivots, w) for w in pivots])
+    if inverse is None:
+        raise DimMismatchError(f"the {target} tableau images of {lam} over dim {m} are dependent")
+    denom = lcm(*[x.denominator for col in inverse for x in col.values()])
     return SchurRealization(
-        lam=lam, m=m, symmetrizer=sym, basis=basis, echelon=ech,
-        pivots=pivots, solve=solve, denom=denom,
-        at_pivots={key: {j: x for j, x in row.items() if x} for key, row in at_pivots.items()},
+        lam=lam, m=m, symmetrizer=sym, pivots=pivots,
+        solve=[{r: int(x * denom) for r, x in col.items()} for col in inverse],
+        denom=denom, at_pivots=at_pivots,
     )
 
 
 class SliceSpace:
     """The degree-k slice S_lam(E) (x) Sym^j(E) of one free term, j = k - d_i.
 
-    Basis vector number `s * len(multisets) + u` is schur.basis[s] (x)
+    Basis vector number `s * len(multisets) + u` is Y(schur.pivots[s]) (x)
     sym(multisets[u]), where sym(u) is the normalized symmetric tensor of
     the sorted tail multiset u.  A slice vector is written
     {(head word, sorted tail): c}, with c the sum of its coefficients over
@@ -735,15 +706,16 @@ class SliceLab:
         Schur coordinates of Y(h[:a]) (`scaled_image`, times the target's
         D) are found once per distinct prefix; each word only adds its
         coefficient to its suffix's entry, in integers, and the sums are
-        divided by D once."""
+        divided by D once.  Each source basis vector is expanded here, one
+        at a time, and dropped; the target's never is."""
         if i not in self._images:
-            target = self.schur(i - 1)
+            source, target = self.schur(i), self.schur(i - 1)
             a, den = sum(target.lam), target.denom
             prefix_coords: dict = {}
             images = []
-            for s in self.schur(i).basis:
+            for w in source.pivots:
                 img: dict = {}
-                for h, c in s.items():
+                for h, c in source.symmetrizer.apply({w: 1}).items():
                     p = h[:a]
                     pc = prefix_coords.get(p)
                     if pc is None:
@@ -823,19 +795,17 @@ class SliceLab:
         return _dense(cols, self.slice_dim(i, k + 1))
 
     def schur_action(self, i: int, g) -> list:
-        """Schur coordinates of g(s) for every Schur basis vector s of F_i,
-        g a permutation of the basis letters.  g(s) is in im Y, so they
-        come from its values at the pivot words: the value of g(s) at w is
-        the value of s at g^-1(w)."""
+        """Schur coordinates of g(s) for every Schur basis vector s = Y(w)
+        of F_i, g a permutation of the basis letters: g commutes with every
+        permutation of the slots, so g(s) = Y(g w), read off `scaled_image`
+        with nothing expanded."""
         key = (i, tuple(g))
         acts = self._actions.get(key)
         if acts is None:
             schur = self.schur(i)
-            inverse = {y: x for x, y in enumerate(g)}
-            pulled = [tuple([inverse[y] for y in w]) for w in schur.pivots]
             acts = []
-            for s in schur.basis:
-                scaled = schur.scaled_coords({j: s[w] for j, w in enumerate(pulled) if w in s})
+            for w in schur.pivots:
+                scaled = schur.scaled_image(tuple([g[x] for x in w]))
                 acts.append({r: _ratio(z, schur.denom) for r, z in scaled.items() if z})
             self._actions[key] = acts
         return acts

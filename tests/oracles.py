@@ -2,15 +2,14 @@
 enumeration for (skew) Schur module dimensions, kept deliberately separate
 from the library's formulas, horizontal strips by search over a box, the
 strip-filter form of the Hilbert function and the tableau form of super
-dimensions, dense Gauss-Jordan rank, and a word-level realization of the
-slice complex for the exactness lab, and Bott's algorithm with every pair
-of entries compared."""
+dimensions, dense Gauss-Jordan rank, an echelonized subspace basis with
+coordinates, a word-level realization of the slice complex for the
+exactness lab, and Bott's algorithm with every pair of entries compared."""
 
 from fractions import Fraction
 from itertools import product
 
 from pureres.exactness import (
-    SubspaceBasis,
     YoungSymmetrizer,
     chain_filling,
     realize_schur,
@@ -160,6 +159,62 @@ def random_degrees(rng, max_m: int, d_max: int, min_m: int = 1):
             return tuple(vals)
 
 
+def add_scaled(acc: dict, vec: dict, c) -> None:
+    """acc += c vec, dropping the entries that cancel."""
+    for w, x in vec.items():
+        y = acc.get(w, 0) + c * x
+        if y:
+            acc[w] = y
+        else:
+            acc.pop(w, None)
+
+
+class SubspaceBasis:
+    """Incrementally echelonized spanning set of word vectors ({word:
+    coefficient}) with exact coordinates of new vectors in terms of the
+    accepted ones, over Fraction."""
+
+    def __init__(self):
+        self._pivots = []  # (pivot word, echelon vector, its combination of accepted vectors)
+        self.count = 0
+
+    def _reduce(self, vec):
+        vec = {w: Fraction(c) for w, c in vec.items() if c}
+        combo: dict = {}
+        for pw, pv, pc in self._pivots:
+            c = vec.get(pw)
+            if c:
+                f = c / pv[pw]
+                add_scaled(vec, pv, -f)
+                add_scaled(combo, pc, f)
+        return vec, combo
+
+    def add(self, vec) -> bool:
+        """Accept vec if independent of the current span (as original
+        vector number `count`); returns whether it was accepted."""
+        res, combo = self._reduce(vec)
+        if not res:
+            return False
+        pc = {idx: -x for idx, x in combo.items()}
+        pc[self.count] = Fraction(1)
+        self._pivots.append((min(res), res, pc))
+        self.count += 1
+        return True
+
+    def coords(self, vec) -> dict:
+        """Coordinates of vec in the accepted original vectors; raises
+        ValueError if vec is outside the span."""
+        res, combo = self._reduce(vec)
+        if res:
+            raise ValueError("vector outside subspace span")
+        return combo
+
+
+def schur_basis(schur) -> list:
+    """The basis vectors Y(P[s]) of a Schur realization, expanded over words."""
+    return [schur.symmetrizer.apply({w: 1}) for w in schur.pivots]
+
+
 class WordSlices:
     """Word-level reference realization of the slice complex: every slice
     basis vector is written out over all anagrams of its tail in E^(x)N
@@ -188,7 +243,7 @@ class WordSlices:
                     if list(w) == sorted(w)
                 ]
                 basis = []
-                for s in schur.basis:
+                for s in schur_basis(schur):
                     for u in multisets:
                         tail = sym_tensor(u)
                         basis.append(

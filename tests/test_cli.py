@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pureres.cli import main, reproduction_rows
+from pureres.resolutions import betti_F
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -53,6 +54,28 @@ class TestBettiCommand:
         code, out = run(capsys, "betti", "--construction", "F", "--d", "0,3,4,7", "--format", "pretty")
         assert code == 0
         assert "┌" in out
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+    def test_ranks_past_the_digit_cap(self, capsys, fmt):
+        # CPython converts an int of more than 4300 digits to a string only
+        # once that cap is lifted; the command lifts it for itself alone
+        d = tuple(i * 10**6 for i in range(41))
+        cap = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
+        code, out = run(
+            capsys, "betti", "--construction", "F", "--d", ",".join(map(str, d)), "--format", fmt
+        )
+        assert code == 0 and out
+        if cap is None:
+            return
+        assert sys.get_int_max_str_digits() == cap
+        if fmt == "json":
+            sys.set_int_max_str_digits(0)
+            try:
+                expected = [str(r.rank) for r in betti_F(d).rows]
+            finally:
+                sys.set_int_max_str_digits(cap)
+            assert max(map(len, expected)) > 4300
+            assert [str(r["rank"]) for r in json.loads(out)["rows"]] == expected
 
     def test_invalid_degrees(self, capsys):
         code, _ = run(capsys, "betti", "--construction", "F", "--d", "3,1")
@@ -382,13 +405,28 @@ FLAGS = {
 }
 
 
+# --m is checked against the length n of the list before it: m = n - 1 for
+# --d, m = n + 1 for --alpha.  Three times in four it is drawn near that
+# value, so that most examples get past the check.
+M_FROM_LENGTH = {"betti": -1, "bott": 1, "verify": -1}
+NEAR = st.sampled_from([0, 0, 0, -1, 1])
+
+
 @st.composite
 def command_lines(draw, cmd):
     argv = [cmd]
+    length = 0
     for flag, values in FLAGS[cmd].items():
         if flag.endswith("?") and not draw(st.booleans()):
             continue
-        argv.append(f"{flag.rstrip('?')}={draw(values)}")
+        name = flag.rstrip("?")
+        if name == "--m" and cmd in M_FROM_LENGTH and draw(st.integers(0, 3)):
+            value = length + M_FROM_LENGTH[cmd] + draw(NEAR)
+        else:
+            value = draw(values)
+        if name in ("--d", "--alpha"):
+            length = value.count(",") + 1 if value else 0
+        argv.append(f"{name}={value}")
     if draw(st.booleans()):
         argv.append(f"--format={draw(st.sampled_from(['json', 'csv', 'pretty']))}")
     return argv

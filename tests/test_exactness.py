@@ -1,5 +1,8 @@
 import copy
+import multiprocessing
 import random
+import resource
+import threading
 import time
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -13,7 +16,6 @@ from pureres import exactness
 from pureres.exactness import (
     DimLimitError,
     SliceLab,
-    SubspaceBasis,
     YoungSymmetrizer,
     chain_filling,
     differential_slice,
@@ -33,7 +35,7 @@ from pureres.exactness import (
 from pureres.partitions import dim_gl
 from pureres.resolutions import alpha, betti_F, hilbert_M_strips
 
-from oracles import WordSlices, dense_rank, random_partition
+from oracles import SubspaceBasis, WordSlices, dense_rank, random_partition, schur_basis
 
 CORPUS = ((0, 1, 2, 3), (0, 2), (0, 1, 3), (0, 2, 3), (0, 2, 3, 4), (0, 1, 2, 4))
 
@@ -268,14 +270,16 @@ class TestRealizeSchur:
 
     @pytest.mark.parametrize("lam", [(3, 3, 2), (5, 3), (5, 2, 1)])
     def test_projects_one_word_per_tableau(self, lam, monkeypatch):
-        # the row-sorted search projected 2380, 1060 and 1956 words here and
-        # took 1.8-2.8 s
+        # the basis comes from the pivot table, so no word is projected;
+        # projecting one word per tableau took 0.02-0.09 s here, and the
+        # row-sorted search 2380, 1060 and 1956 words and 1.8-2.8 s
         apply = YoungSymmetrizer.apply
         projected = []
         monkeypatch.setattr(
             YoungSymmetrizer, "apply", lambda self, vec: projected.append(vec) or apply(self, vec)
         )
-        assert realize_schur(lam, 4).dim == dim_gl(lam, 4) == len(projected)
+        assert realize_schur(lam, 4).dim == dim_gl(lam, 4)
+        assert projected == []
         monkeypatch.undo()
         seconds = []
         for _ in range(3):
@@ -283,6 +287,27 @@ class TestRealizeSchur:
             realize_schur(lam, 4)
             seconds.append(time.process_time() - t0)
         assert min(seconds) < 0.2
+
+    def test_memory_wall(self):
+        # storing every basis vector expanded took 7.3 s and 1.5 GB here
+        def child(conn):
+            resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+            t0 = time.process_time()
+            dim = realize_schur((6, 5, 1), 4, limit=4**12).dim
+            conn.send((dim, time.process_time() - t0))
+
+        assert threading.active_count() == 1, "forking is safe only without other threads"
+        receive, send = multiprocessing.Pipe(duplex=False)
+        proc = multiprocessing.get_context("fork").Process(target=child, args=(send,))
+        proc.start()
+        proc.join(60)
+        if proc.is_alive():
+            proc.kill()
+            proc.join()
+        assert proc.exitcode == 0
+        dim, seconds = receive.recv()
+        assert dim == dim_gl((6, 5, 1), 4) == 735
+        assert seconds < 2
 
     @pytest.mark.parametrize("d", [(0, 3, 4, 7), (0, 2, 3, 4, 6), (0, 1, 4, 6), (1, 2, 4)])
     def test_chain_fillings_full_rank(self, d):
@@ -384,9 +409,17 @@ class TestWordLevelOracle:
 
 
 class TestPivotCoordinates:
-    """Schur coordinates read off the pivot words equal the echelon's full
-    reduction of the same vector (`SubspaceBasis.coords`, which also
-    rejects a vector outside the span)."""
+    """Schur coordinates read off the pivot words equal the full reduction
+    of the same vector by an echelon of the expanded basis vectors Y(P[s])
+    (`oracles.SubspaceBasis.coords`, which also rejects a vector outside
+    the span)."""
+
+    @staticmethod
+    def echelon(schur):
+        basis = schur_basis(schur)
+        ech = SubspaceBasis()
+        assert all([ech.add(v) for v in basis])
+        return basis, ech
 
     @pytest.mark.parametrize("d", CORPUS)
     def test_generator_images(self, d):
@@ -394,12 +427,13 @@ class TestPivotCoordinates:
         for i in range(1, len(d)):
             target = lab.schur(i - 1)
             a = sum(target.lam)
-            for s, img in zip(lab.schur(i).basis, lab.generator_images(i)):
+            _, ech = self.echelon(target)
+            for s, img in zip(schur_basis(lab.schur(i)), lab.generator_images(i)):
                 ref: dict = {}
                 for h, c in s.items():
                     y = target.symmetrizer.apply({h[:a]: 1})
                     slot = ref.setdefault(tuple(sorted(h[a:])), {})
-                    for r, x in target.echelon.coords(y).items():
+                    for r, x in ech.coords(y).items():
                         slot[r] = slot.get(r, 0) + c * x
                 assert img == {u: {r: x for r, x in v.items() if x} for u, v in ref.items()}
 
@@ -408,13 +442,13 @@ class TestPivotCoordinates:
         lab = SliceLab(d)
         m = len(d) - 1
         for i in range(m + 1):
-            schur = lab.schur(i)
+            basis, ech = self.echelon(lab.schur(i))
             for g in permutations(range(m)):
                 # at k = d_i the tail is empty, so column r is basis vector r
                 cols = lab.letter_action_columns(i, d[i], g)
-                for s, col in zip(schur.basis, cols):
+                for s, col in zip(basis, cols):
                     moved = {tuple(g[x] for x in h): c for h, c in s.items()}
-                    assert col == schur.echelon.coords(moved), (i, g)
+                    assert col == ech.coords(moved), (i, g)
 
 
 class TestCheapChecksCatchMutation:
@@ -602,10 +636,7 @@ class TestNoFloats:
         m = len(d) - 1
         for i in range(m + 1):
             schur = lab.schur(i)
-            assert all(exact(v.values()) for v in schur.basis)
-            for _, vec, combo in schur.echelon._pivots:
-                assert exact(vec.values()) and exact(combo.values())
-            # the pivot solver N / D and the pivot table are integers
+            # the inverse N / D of the pivot values and the pivot table are integers
             assert type(schur.denom) is int and schur.denom > 0
             assert all(integral(col.values()) for col in schur.solve)
             assert all(integral(row.values()) for row in schur.at_pivots.values())

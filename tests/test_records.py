@@ -49,7 +49,7 @@ RECORDS = [
     (
         SchurRealization,
         "exactness",
-        ["lam", "m", "symmetrizer", "basis", "echelon", "pivots", "solve", "denom", "at_pivots"],
+        ["lam", "m", "symmetrizer", "pivots", "solve", "denom", "at_pivots"],
         {},
     ),
     (
