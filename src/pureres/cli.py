@@ -54,9 +54,9 @@ def _emit_table(table, args) -> None:
 def _cmd_betti(args) -> int:
     d = _ints(args.d)
     if args.construction == "F":
-        table = resolutions.betti_F(d)
         if args.m is not None and args.m != len(d) - 1:
             raise ValueError(f"--m {args.m} disagrees with length of d")
+        table = resolutions.betti_F(d)
     else:
         table = resolutions.betti_H(d)
     _emit_table(table, args)

@@ -45,8 +45,9 @@ N (v at P) / D.  The lab only asks for coordinates of vectors of im Y, so
 it never needs a full residual reduction: Y(p) is in im Y for every word
 p, and a permutation g of the letters commutes with every permutation of
 the slots, so g Y(x) = Y(g x).  The coordinates of Y(p) come from its
-values at P (`scaled_image`), and those of g(Y(w)) are the coordinates of
-Y(g w); only the generator images expand a basis vector, one at a time.
+values at P, which depend only on the row key of p (`scaled_image`), and
+those of g(Y(w)) are the coordinates of Y(g w); only the generator images
+expand a basis vector, one at a time.
 
 Symmetric tails are never expanded into their anagrams.  A slice vector is
 stored as {(head word, sorted tail multiset): c}, where c is the sum of its
@@ -63,8 +64,9 @@ normalized symmetric tensor:
 - a permutation of the letters permutes head and tail, then re-sorts the
   tail.
 
-The symmetrizer and the Schur coordinates are therefore needed once per
-distinct head word, not once per expanded vector.
+The symmetrizer is therefore applied once per source basis vector, not
+once per expanded vector, and the Schur coordinates of the i-th map are
+found once per target row key of its head prefixes.
 
 Tables are cached on the `SliceLab` by what they depend on.  The tail
 multisets of a symmetric degree j, their index and the map of each
@@ -81,9 +83,9 @@ integral entries are ints, the others Fractions.  Ranks come from sparse
 fraction-free elimination over Z, d^2 and equivariance from one sparse
 product, and A-linearity from comparing columns: multiplication by a
 variable maps basis vectors injectively to basis vectors, so it is an
-index map and needs no product.  The dense matrices of `differential`,
-`multiplication` and `letter_action` are built from the same sparse
-forms.  All arithmetic is exact over Z and Q; nothing is a float.
+index map and needs no product.  Only the public `differential` turns
+its sparse columns into dense rows.  All arithmetic is exact over Z and
+Q; nothing is a float.
 
 Equivariance.  The certificate checks equivariance under a transposition
 and an m-cycle, which generate S_m (`symmetric_generators`).  The letter
@@ -298,50 +300,17 @@ def _multiset_perms(word):
             yield (x,) + tail
 
 
-def sym_tensor(word) -> Vec:
-    """The symmetrized tensor of a multiset of letters: average over all
-    slot permutations, expressed over distinct anagrams."""
-    key = tuple(sorted(word))
-    counts: dict = {}
-    for x in key:
-        counts[x] = counts.get(x, 0) + 1
-    coeff = Fraction(prod(factorial(c) for c in counts.values()), factorial(len(key)))
-    return {w: coeff for w in _multiset_perms(key)}
-
-
-def symmetrize_trailing(vec: Vec, start: int) -> Vec:
-    """Average over all permutations of the slots >= start."""
-    out: Vec = {}
-    for w, c in vec.items():
-        _add_scaled(out, {w[:start] + w2: c2 for w2, c2 in sym_tensor(w[start:]).items()}, c)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # rational matrices
 #
 # Inside the lab a matrix is a list of sparse columns, one {row: nonzero
-# entry} dict per source basis vector.  The public slice matrices and
-# `mat_mul` use dense rows (lists), converted at the boundary.
-
-
-def mat_zero(rows: int, cols: int):
-    return [[Fraction(0)] * cols for _ in range(rows)]
-
-
-def _columns(a, ncols: int) -> list:
-    """Sparse columns of the dense row matrix a with ncols columns."""
-    cols: list = [{} for _ in range(ncols)]
-    for r, row in enumerate(a):
-        for j, x in enumerate(row):
-            if x:
-                cols[j][r] = x
-    return cols
+# entry} dict per source basis vector.  Only the public `differential` is
+# converted to dense rows (lists), at the boundary.
 
 
 def _dense(cols, rows: int) -> list:
     """Dense rows of the sparse column matrix cols with the given row count."""
-    out = mat_zero(rows, len(cols))
+    out = [[Fraction(0)] * len(cols) for _ in range(rows)]
     for j, col in enumerate(cols):
         for r, x in col.items():
             out[r][j] = x
@@ -362,18 +331,13 @@ def mul_columns(a, b) -> list:
     return out
 
 
-def mat_mul(a, b):
-    cols = len(b[0]) if b else 0
-    return _dense(mul_columns(_columns(a, len(b)), _columns(b, cols)), len(a))
-
-
 def mat_rank(a) -> int:
-    """Exact rank over Q of a matrix given as dense rows (lists) or as
-    sparse columns ({index: entry} dicts); row rank equals column rank, so
-    either orientation serves.  Entries are ints or Fractions.  A vector
-    with a Fraction entry is scaled by the lcm of its denominators, which
-    keeps the rank, and every vector is then eliminated over Z: while its
-    leading index has a pivot p it becomes p_lead v - v_lead p (both
+    """Exact rank over Q of a matrix given as sparse vectors ({index:
+    nonzero entry} dicts), its columns or its rows: row rank equals column
+    rank, so either orientation serves.  Entries are ints or Fractions.  A
+    vector with a Fraction entry is scaled by the lcm of its denominators,
+    which keeps the rank, and every vector is then eliminated over Z: while
+    its leading index has a pivot p it becomes p_lead v - v_lead p (both
     divided by their gcd), and once the leading index is new it becomes
     the pivot of that index.  To keep the numbers small a vector is
     divided by its content (the gcd of its entries) after every reduction
@@ -382,9 +346,7 @@ def mat_rank(a) -> int:
     modified."""
     pivots: dict = {}
     for vec in a:
-        v = dict(vec) if isinstance(vec, dict) else dict(enumerate(vec))
-        if 0 in v.values():
-            v = {j: x for j, x in v.items() if x}
+        v = dict(vec)
         for x in v.values():
             if type(x) is not int:
                 den = lcm(*[y.denominator for y in v.values()])
@@ -416,10 +378,6 @@ def mat_rank(a) -> int:
                 v = {j: x // content for j, x in v.items()}
             primitive = True
     return len(pivots)
-
-
-def mat_is_zero(a) -> bool:
-    return all(not x for row in a for x in row)
 
 
 # ---------------------------------------------------------------------------
@@ -459,19 +417,19 @@ class SchurRealization(
                 acc[r] = acc.get(r, 0) + x * y
         return acc
 
-    def scaled_image(self, word) -> dict:
-        """D times the coordinates of Y(word), from its values at the pivot
-        words (`_values_at_pivots`)."""
-        return self.scaled_coords(_values_at_pivots(self.symmetrizer, self.at_pivots, word))
+    def scaled_image(self, key) -> dict:
+        """D times the coordinates of Y(p) for the words p of row key `key`
+        (`YoungSymmetrizer.row_key`), from its values at the pivot words
+        (`_values_at_pivots`): row rearrangements of p have the same image."""
+        return self.scaled_coords(_values_at_pivots(self.at_pivots, key))
 
 
-def _values_at_pivots(sym: YoungSymmetrizer, at_pivots: dict, word) -> dict:
-    """{j: value of Y(word) at P[j]}, zeros left out.  Y sums sign(q) q p
-    over the column permutations q and row permutations p, so the value of
-    Y(word) at w is the number of row permutations fixing word times the
-    sum of sign(q) over the q for which q.w is a row rearrangement of word:
-    `at_pivots` of the row key of word."""
-    key = sym.row_key(word)
+def _values_at_pivots(at_pivots: dict, key) -> dict:
+    """{j: value of Y(p) at P[j]} for a word p of row key `key`, zeros left
+    out.  Y sums sign(q) q r over the column permutations q and row
+    permutations r, so the value of Y(p) at w is the number of row
+    permutations fixing p times the sum of sign(q) over the q for which
+    q.w is a row rearrangement of p: `at_pivots` of the row key of p."""
     mult = _stabilizer(key)
     return {j: mult * x for j, x in at_pivots.get(key, {}).items()}
 
@@ -554,7 +512,7 @@ def realize_schur(lam, m: int, limit: int | None = None, boxes=None) -> SchurRea
             row = at_pivots.setdefault(key, {})
             row[j] = row.get(j, 0) + sign
     at_pivots = {key: {j: x for j, x in row.items() if x} for key, row in at_pivots.items()}
-    inverse = _inverse([_values_at_pivots(sym, at_pivots, w) for w in pivots])
+    inverse = _inverse([_values_at_pivots(at_pivots, sym.row_key(w)) for w in pivots])
     if inverse is None:
         raise DimMismatchError(f"the {target} tableau images of {lam} over dim {m} are dependent")
     denom = lcm(*[x.denominator for col in inverse for x in col.values()])
@@ -702,27 +660,33 @@ class SliceLab:
 
         The map symmetrizes the slots from a = |alpha(d, i-1)| on and then
         applies the symmetrizer Y of F_{i-1} to the first a slots.  A head
-        word h goes to Y(h[:a]) (x) sym(h[a:]) with coefficient 1, so the
-        Schur coordinates of Y(h[:a]) (`scaled_image`, times the target's
-        D) are found once per distinct prefix; each word only adds its
-        coefficient to its suffix's entry, in integers, and the sums are
-        divided by D once.  Each source basis vector is expanded here, one
-        at a time, and dropped; the target's never is."""
+        word h goes to Y(h[:a]) (x) sym(h[a:]) with coefficient 1, and
+        Y(h[:a]) depends only on the row key of h[:a] in the target.  So
+        the coefficients of the head words are summed, in integers, per
+        (sorted suffix, target row key); the Schur coordinates of each row
+        key (`scaled_image`, times the target's D) are found once per map,
+        and the sums are divided by D once.  Each source basis vector is
+        expanded here, one at a time, and dropped; the target's never is."""
         if i not in self._images:
             source, target = self.schur(i), self.schur(i - 1)
-            a, den = sum(target.lam), target.denom
-            prefix_coords: dict = {}
+            row_key, den = target.symmetrizer.row_key, target.denom
+            a = sum(target.lam)
+            coords: dict = {}  # target row key -> D times its Schur coordinates
             images = []
             for w in source.pivots:
-                img: dict = {}
+                sums: dict = {}
                 for h, c in source.symmetrizer.apply({w: 1}).items():
-                    p = h[:a]
-                    pc = prefix_coords.get(p)
-                    if pc is None:
-                        pc = prefix_coords[p] = target.scaled_image(p)
-                    slot = img.setdefault(tuple(sorted(h[a:])), {})
-                    for r, x in pc.items():
-                        slot[r] = slot.get(r, 0) + c * x
+                    key = (tuple(sorted(h[a:])), row_key(h))
+                    sums[key] = sums.get(key, 0) + c
+                img: dict = {}
+                for (suffix, rk), c in sums.items():
+                    slot = img.setdefault(suffix, {})
+                    if c:
+                        rc = coords.get(rk)
+                        if rc is None:
+                            rc = coords[rk] = target.scaled_image(rk)
+                        for r, x in rc.items():
+                            slot[r] = slot.get(r, 0) + c * x
                 images.append(
                     {
                         suffix: {r: _ratio(x, den) for r, x in slot.items() if x}
@@ -788,12 +752,6 @@ class SliceLab:
             self._times[key] = out
         return out
 
-    def multiplication(self, i: int, k: int, var: int):
-        """Matrix of multiplication by the var-th basis variable,
-        (F_i)_k -> (F_i)_{k+1}."""
-        cols = [{r: Fraction(1)} for r in self.times_var(i, k, var)]
-        return _dense(cols, self.slice_dim(i, k + 1))
-
     def schur_action(self, i: int, g) -> list:
         """Schur coordinates of g(s) for every Schur basis vector s = Y(w)
         of F_i, g a permutation of the basis letters: g commutes with every
@@ -805,7 +763,7 @@ class SliceLab:
             schur = self.schur(i)
             acts = []
             for w in schur.pivots:
-                scaled = schur.scaled_image(tuple([g[x] for x in w]))
+                scaled = schur.scaled_image(schur.symmetrizer.row_key([g[x] for x in w]))
                 acts.append({r: _ratio(z, schur.denom) for r, z in scaled.items() if z})
             self._actions[key] = acts
         return acts
@@ -824,10 +782,6 @@ class SliceLab:
             for coeffs in self.schur_action(i, g)
             for t in tails
         ]
-
-    def letter_action(self, i: int, k: int, g) -> list:
-        """Matrix of the permutation g of basis letters on (F_i)_k."""
-        return _dense(self.letter_action_columns(i, k, g), self.slice_dim(i, k))
 
 
 # ---------------------------------------------------------------------------
@@ -947,19 +901,13 @@ class Certificate(
         )
 
 
-def verify_exactness(
-    d,
-    k_max: int | None = None,
-    limit: int | None = None,
-    check_alinearity: bool = True,
-    check_equivariance: bool = True,
-) -> Certificate:
+def verify_exactness(d, k_max: int | None = None, limit: int | None = None) -> Certificate:
     """Build every slice matrix of the complex up to k_max and certify
     d^2 = 0, exactness of each interior slice, injectivity of the last map,
     agreement of the cokernel with the strip-count Hilbert function,
-    minimality, A-linearity coherence (`check_alinearity`) and
-    equivariance under a transposition and an m-cycle, which generate S_m
-    (`check_equivariance`; see `symmetric_generators`).
+    minimality, A-linearity coherence and equivariance under a
+    transposition and an m-cycle, which generate S_m (see
+    `symmetric_generators`).
 
     Raises ValueError for d_0 < 0 (the lab realizes polynomial Schur
     modules only) and for k_max < d_0, where no slice would be checked."""
@@ -1011,21 +959,19 @@ def verify_exactness(
         failures.append(("euler", top))
 
     alin_ok = True
-    if check_alinearity:
-        for i in range(1, m + 1):
-            for k in range(d[0], k_max):
-                if not check_a_linearity(lab, i, k):
-                    alin_ok = False
-                    failures.append(("alinearity", i, k))
+    for i in range(1, m + 1):
+        for k in range(d[0], k_max):
+            if not check_a_linearity(lab, i, k):
+                alin_ok = False
+                failures.append(("alinearity", i, k))
 
     equi_ok = True
-    if check_equivariance:
-        for g in symmetric_generators(m):
-            for i in range(1, m + 1):
-                k = min(d[i] + 1, k_max)
-                if not equivariance_spotcheck(d, i, k, g, lab=lab):
-                    equi_ok = False
-                    failures.append(("equivariance", i, k, g))
+    for g in symmetric_generators(m):
+        for i in range(1, m + 1):
+            k = min(d[i] + 1, k_max)
+            if not equivariance_spotcheck(d, i, k, g, lab=lab):
+                equi_ok = False
+                failures.append(("equivariance", i, k, g))
 
     return Certificate(
         d=d,

@@ -2,20 +2,15 @@
 enumeration for (skew) Schur module dimensions, kept deliberately separate
 from the library's formulas, horizontal strips by search over a box, the
 strip-filter form of the Hilbert function and the tableau form of super
-dimensions, dense Gauss-Jordan rank, an echelonized subspace basis with
-coordinates, a word-level realization of the slice complex for the
-exactness lab, and Bott's algorithm with every pair of entries compared."""
+dimensions, dense Gauss-Jordan rank and dense matrix helpers, an
+echelonized subspace basis with coordinates, a word-level realization of
+the slice complex for the exactness lab, and Bott's algorithm with every
+pair of entries compared."""
 
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
-from pureres.exactness import (
-    YoungSymmetrizer,
-    chain_filling,
-    realize_schur,
-    sym_tensor,
-    symmetrize_trailing,
-)
+from pureres.exactness import YoungSymmetrizer, chain_filling, realize_schur
 from pureres.partitions import (
     conjugate,
     contains,
@@ -143,6 +138,52 @@ def dense_rank(a) -> int:
     return rank
 
 
+def mat_mul(a, b) -> list:
+    """Product of two dense matrices (lists of rows)."""
+    cols = len(b[0]) if b else 0
+    return [
+        [sum((x * b[q][j] for q, x in enumerate(row)), Fraction(0)) for j in range(cols)]
+        for row in a
+    ]
+
+
+def mat_is_zero(a) -> bool:
+    return all(not x for row in a for x in row)
+
+
+def sparse_rows(a) -> list:
+    """The rows of a dense matrix as sparse vectors {column: nonzero entry}."""
+    return [{j: x for j, x in enumerate(row) if x} for row in a]
+
+
+def sparse_columns(a) -> list:
+    """The columns of a dense matrix as sparse vectors {row: nonzero entry}."""
+    ncols = len(a[0]) if a else 0
+    return [{r: row[j] for r, row in enumerate(a) if row[j]} for j in range(ncols)]
+
+
+def dense(cols, rows: int) -> list:
+    """Dense rows of the sparse column matrix cols with the given row count."""
+    out = [[Fraction(0)] * len(cols) for _ in range(rows)]
+    for j, col in enumerate(cols):
+        for r, x in col.items():
+            out[r][j] = x
+    return out
+
+
+def multiplication(lab, i: int, k: int, var: int) -> list:
+    """Dense matrix of multiplication by the var-th variable, (F_i)_k ->
+    (F_i)_{k+1}, from the index map `SliceLab.times_var`."""
+    cols = [{r: Fraction(1)} for r in lab.times_var(i, k, var)]
+    return dense(cols, lab.slice_dim(i, k + 1))
+
+
+def letter_action(lab, i: int, k: int, g) -> list:
+    """Dense matrix of the letter permutation g on (F_i)_k, from
+    `SliceLab.letter_action_columns`."""
+    return dense(lab.letter_action_columns(i, k, g), lab.slice_dim(i, k))
+
+
 def random_partition(rng, max_part: int, max_len: int):
     parts = sorted(
         (rng.randint(0, max_part) for _ in range(rng.randint(0, max_len))),
@@ -208,6 +249,23 @@ class SubspaceBasis:
         if res:
             raise ValueError("vector outside subspace span")
         return combo
+
+
+def sym_tensor(word) -> dict:
+    """The symmetrized tensor of a multiset of letters: the average over all
+    slot permutations, written over the distinct anagrams, each of which
+    has coefficient 1 / (number of anagrams)."""
+    anagrams = sorted(set(permutations(word)))
+    return {w: Fraction(1, len(anagrams)) for w in anagrams}
+
+
+def symmetrize_trailing(vec: dict, start: int) -> dict:
+    """Average of the word vector vec over all permutations of the slots
+    >= start."""
+    out: dict = {}
+    for w, c in vec.items():
+        add_scaled(out, {w[:start] + w2: c2 for w2, c2 in sym_tensor(w[start:]).items()}, c)
+    return out
 
 
 def schur_basis(schur) -> list:

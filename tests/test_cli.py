@@ -218,6 +218,18 @@ class TestValidationOrder:
         assert code == 2
         assert out == ""
 
+    def test_betti_m_rejected_before_table(self, capsys, monkeypatch):
+        # a sequence too long for betti_F is still invalid input when --m
+        # disagrees with its length: exit 2, not the table's resource limit
+        def boom(*args, **kwargs):
+            raise AssertionError("betti_F called before --m was checked")
+
+        monkeypatch.setattr("pureres.resolutions.betti_F", boom)
+        d = ",".join(str(x) for x in range(66))
+        code, out = run(capsys, "betti", "--construction", "F", "--d", d, "--m", "3")
+        assert code == 2
+        assert out == ""
+
 
 class TestStartup:
     def test_import_loads_no_dataclasses_or_inspect(self):
