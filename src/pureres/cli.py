@@ -13,13 +13,7 @@ import sys
 
 from . import bott as bott_mod
 from . import exactness, resolutions
-from .render import (
-    _json_int,
-    betti_pretty,
-    betti_to_csv,
-    betti_to_dict,
-    to_json,
-)
+from .render import betti_pretty, betti_to_csv, betti_to_dict, to_json
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -35,11 +29,14 @@ def _ints(text: str) -> tuple[int, ...]:
 
 
 def _emit(text: str, path: str | None) -> None:
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-    else:
+    if not path:
         sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"--output: {exc}") from exc
 
 
 def _emit_table(table, args) -> None:
@@ -65,18 +62,17 @@ def _cmd_betti(args) -> int:
 
 def _cmd_primitive(args) -> int:
     d = _ints(args.d)
-    prim = resolutions.herzog_kuhl_primitive(d)
-    _emit(to_json({"d": list(d), "primitive": [_json_int(x) for x in prim]}), args.output)
+    _emit(to_json({"d": d, "primitive": resolutions.herzog_kuhl_primitive(d)}), args.output)
     return EXIT_OK
+
+
+def _outcome(o) -> dict:
+    return {"vanishes": o.vanishes, "h": o.h_degree, "weight": o.weight}
 
 
 def _cmd_bott(args) -> int:
     outcome = bott_mod.bott_cohomology(_ints(args.alpha), args.u, args.m)
-    payload = {"vanishes": outcome.vanishes}
-    payload["h"] = outcome.h_degree
-    payload["weight"] = list(outcome.weight) if outcome.weight is not None else None
-    payload["trace"] = list(outcome.trace)
-    _emit(to_json(payload), args.output)
+    _emit(to_json({**_outcome(outcome), "trace": outcome.trace}), args.output)
     return EXIT_OK
 
 
@@ -84,21 +80,14 @@ def _cmd_scan(args) -> int:
     scan = bott_mod.det_bott_scan(_ints(args.d))
     ranks = bott_mod.scan_ranks(scan)
     payload = {
-        "d": list(scan.d),
+        "d": scan.d,
         "dim_f": scan.dim_f,
         "dim_g": scan.dim_g,
-        "outcomes": [
-            {
-                "u": u,
-                "vanishes": o.vanishes,
-                "h": o.h_degree,
-                "weight": list(o.weight) if o.weight is not None else None,
-            }
-            for u, o in scan.outcomes
-        ],
+        "outcomes": [{"u": u, **_outcome(o)} for u, o in scan.outcomes],
+        # assignments run over i in increasing order, as the scan checks
         "terms": [
-            {"i": i, "u": u, "h": h, "weight": list(w), "rank": _json_int(ranks[i])}
-            for i, (u, h, w) in sorted(scan.assignments.items())
+            {"i": i, "u": u, "h": h, "weight": w, "rank": ranks[i]}
+            for i, (u, h, w) in scan.assignments.items()
         ],
     }
     _emit(to_json(payload), args.output)
@@ -108,11 +97,11 @@ def _cmd_scan(args) -> int:
 def _cmd_profile(args) -> int:
     profile = resolutions.module_profile(_ints(args.d))
     payload = {
-        "d": list(profile.d),
-        "hilbert_function": {str(k): _json_int(v) for k, v in sorted(profile.hf.items())},
+        "d": profile.d,
+        "hilbert_function": profile.hf,
         "top_degree": profile.top_degree,
-        "socle_weight": list(profile.socle_weight),
-        "socle_dim": _json_int(profile.socle_dim),
+        "socle_weight": profile.socle_weight,
+        "socle_dim": profile.socle_dim,
     }
     _emit(to_json(payload), args.output)
     return EXIT_OK
@@ -120,14 +109,9 @@ def _cmd_profile(args) -> int:
 
 def _cmd_duality(args) -> int:
     report = resolutions.duality_check(_ints(args.d))
-    payload = {
-        "d": list(report.d),
-        "is_symmetric": report.is_symmetric,
-        "ranks_palindromic": report.ranks_palindromic,
-        "complements_match": report.complements_match,
-        "rectangle": list(report.rectangle) if report.rectangle else None,
-        "passed": report.passed,
-    }
+    payload = report._asdict()
+    del payload["witnesses"]
+    payload["passed"] = report.passed
     _emit(to_json(payload), args.output)
     return EXIT_OK
 
@@ -150,14 +134,11 @@ def _cmd_verify(args) -> int:
         raise ValueError(f"--m {args.m} disagrees with length of d")
     cert = exactness.verify_exactness(d, k_max=args.kmax, limit=args.limit)
     payload = {
-        "d": list(cert.d),
+        "d": cert.d,
         "m": cert.m,
-        "k_range": list(cert.k_range),
+        "k_range": cert.k_range,
         "dsquared_ok": cert.dsquared_ok,
-        "slices": {
-            str(k): {"ok": ok, "ranks": list(data["ranks"]), "coker": data["coker"]}
-            for k, (ok, data) in sorted(cert.slices_exact.items())
-        },
+        "slices": {k: {"ok": ok, **data} for k, (ok, data) in cert.slices_exact.items()},
         "minimality_ok": cert.minimality_ok,
         "euler_identity_ok": cert.euler_identity_ok,
         "hf_match_ok": cert.hf_match_ok,
@@ -189,8 +170,8 @@ def reproduction_rows() -> list[dict]:
             and mult_h == claims["H"]
         )
         row = {
-            "d": list(d),
-            "primitive": list(prim),
+            "d": d,
+            "primitive": prim,
             "F_multiple": mult_f,
             "H_multiple": mult_h,
             "claimed_F": claims["F"],
@@ -218,7 +199,7 @@ def _cmd_examples(args) -> int:
     for r in rows:
         claimed = f"{r['claimed_F']}/{r['claimed_H']}"
         lines.append(
-            f"{str(tuple(r['d'])):>14} {str(tuple(r['primitive'])):>16}"
+            f"{str(r['d']):>14} {str(r['primitive']):>16}"
             f" {r['F_multiple']:>6} {r['H_multiple']:>6} {claimed:>9}  {r['agree']}"
         )
         if "note" in r:
@@ -234,20 +215,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument(
-            "--format",
-            choices=("json", "csv", "pretty"),
-            default="json",
-            help="output format; csv columns are i,twist,weight,rank",
-        )
+    def common(p, formats=("json",)):
+        csv = "; csv columns are i,twist,weight,rank" if "csv" in formats else ""
+        p.add_argument("--format", choices=formats, default="json", help="output format" + csv)
         p.add_argument("--output", help="write to this path instead of stdout")
 
     p = sub.add_parser("betti", help="Betti table of the F or H construction")
     p.add_argument("--construction", choices=("F", "H"), required=True)
     p.add_argument("--d", required=True, help="comma-separated degree sequence")
     p.add_argument("--m", type=int, help="optional consistency check on length of d")
-    common(p)
+    common(p, ("json", "csv", "pretty"))
     p.set_defaults(func=_cmd_betti)
 
     p = sub.add_parser("primitive", help="Herzog-Kuhl primitive Betti vector")
@@ -288,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u0", type=int, default=0)
     p.add_argument("--u1", type=int, default=0)
     p.add_argument("--N", type=int, help="truncation index")
-    common(p)
+    common(p, ("json", "csv", "pretty"))
     p.set_defaults(func=_cmd_super)
 
     p = sub.add_parser("verify", help="finite exactness certificate for small instances")
@@ -304,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("examples", help="reproduce the three published rays")
-    common(p)
+    common(p, ("json", "pretty"))
     p.set_defaults(func=_cmd_examples)
 
     return parser

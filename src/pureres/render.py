@@ -13,26 +13,15 @@ from .resolutions import (
     multiple_of_primitive,
 )
 
-_I64_MAX = 2**63 - 1
-
-
-def _json_int(x: int):
-    return x if -_I64_MAX <= x <= _I64_MAX else str(x)
-
 
 def betti_to_dict(table: BettiTable) -> dict:
-    out: dict = {"kind": table.kind}
-    out.update({k: list(v) if isinstance(v, tuple) else v for k, v in table.params.items()})
-    out["d"] = list(table.d)
-    if table.kind == "H":
-        out["twist_convention"] = "relative to d_0"
-    else:
-        out["twist_convention"] = "absolute"
+    out = {"kind": table.kind, **table.params, "d": table.d}
+    out["twist_convention"] = "relative to d_0" if table.kind == "H" else "absolute"
     rows = []
     for r in table.rows:
-        row = {"i": r.i, "twist": r.twist, "weight": list(r.weight), "rank": _json_int(r.rank)}
+        row = {"i": r.i, "twist": r.twist, "weight": r.weight, "rank": r.rank}
         if r.weight2 is not None:
-            row["weight2"] = list(r.weight2)
+            row["weight2"] = r.weight2
         if r.vanishing:
             row["vanishing"] = True
         rows.append(row)
@@ -40,15 +29,31 @@ def betti_to_dict(table: BettiTable) -> dict:
     if table.truncated_at is not None:
         out["truncated_at"] = table.truncated_at
     if table.kind in ("F", "H"):
-        out["primitive"] = [_json_int(x) for x in herzog_kuhl_primitive(table.d)]
-        out["multiple"] = _json_int(multiple_of_primitive(table))
+        out["primitive"] = herzog_kuhl_primitive(table.d)
+        out["multiple"] = multiple_of_primitive(table)
         codim = len(table.d) - 1
         out["herzog_kuhl_ok"] = check_herzog_kuhl(table, codim)
     return out
 
 
+_I64_MAX = 2**63 - 1
+
+
 def to_json(obj) -> str:
-    return json.dumps(obj, separators=(",", ":"), sort_keys=False) + "\n"
+    """Compact JSON of obj, one line.  Every int outside ±(2^63 − 1),
+    wherever it sits, is written as its decimal string, so that a consumer
+    with 64-bit integers loses no precision; a bool stays a bool."""
+
+    def safe(x):
+        if isinstance(x, dict):
+            return {k: safe(v) for k, v in x.items()}
+        if isinstance(x, (list, tuple)):
+            return [safe(v) for v in x]
+        if isinstance(x, int) and not -_I64_MAX <= x <= _I64_MAX:
+            return str(x)
+        return x
+
+    return json.dumps(safe(obj), separators=(",", ":")) + "\n"
 
 
 def betti_to_csv(table: BettiTable) -> str:

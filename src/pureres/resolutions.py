@@ -289,9 +289,6 @@ class SuperDegreeData:
             return self.e1
         return part(self.lam, i - 2) - part(self.lam, i - 1) + 1
 
-    def degree(self, i: int) -> int:
-        return sum(self.e(j) for j in range(1, i + 1))
-
     def degree_prefix(self, n: int) -> tuple[int, ...]:
         """(d_0, ..., d_n)."""
         return tuple(accumulate([self.e(i) for i in range(1, n + 1)], initial=0))

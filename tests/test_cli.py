@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pureres.cli import main, reproduction_rows
+from pureres.render import to_json
 from pureres.resolutions import betti_F
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -89,6 +90,52 @@ class TestBettiCommand:
         assert code == 0
         doc = json.loads(target.read_text())
         assert doc["kind"] == "F"
+
+
+class TestOutputAndFormat:
+    @pytest.mark.parametrize("target", ["missing/t.json", "."])
+    def test_unwritable_output_is_invalid_input(self, capsys, tmp_path, target):
+        # a missing directory, then a directory itself
+        code = main(["primitive", "--d", "0,1", "--output", str(tmp_path / target)])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("invalid input: --output")
+
+    def test_output_file_is_utf8_in_any_locale(self, tmp_path):
+        # an ASCII locale with neither UTF-8 mode nor locale coercion: the
+        # box-drawing characters of the pretty table still reach the file
+        target = tmp_path / "t.txt"
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        env = dict(
+            os.environ, PYTHONPATH=path, LC_ALL="C", LANG="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0"
+        )
+        res = subprocess.run(
+            [sys.executable, "-m", "pureres.cli", "betti", "--construction", "F", "--d", "0,1,3",
+             "--format", "pretty", "--output", str(target)],
+            capture_output=True,
+            env=env,
+            timeout=30,
+        )
+        assert res.returncode == 0, res.stderr.decode(errors="replace")
+        assert "┌" in target.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "primitive --d 0,1 --format csv",
+            "bott --alpha 1 --u 0 --m 2 --format pretty",
+            "scan --d 0,1 --format csv",
+            "profile --d 0,1 --format pretty",
+            "duality --d 0,1 --format csv",
+            "verify --d 0,1 --format pretty",
+            "examples --format csv",
+        ],
+    )
+    def test_format_a_command_does_not_render(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv.split())
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestOtherCommands:
@@ -197,6 +244,9 @@ class TestReproduction:
         assert row["note"]
 
 
+BIG = 10**20  # past 2^63 - 1
+
+
 class TestBigIntJson:
     def test_large_ranks_as_strings(self, capsys):
         # (0, 1, 19, 20) has astronomically large H-ranks
@@ -206,6 +256,70 @@ class TestBigIntJson:
         big = [r["rank"] for r in doc["rows"] if isinstance(r["rank"], str)]
         for v in big:
             assert int(v) > 2**63 - 1
+
+    def test_rule_holds_at_any_depth(self):
+        n = 2**63
+        doc = {1: [n - 1, -n, (True, None, "x")], "k": {"v": -(n - 1)}}
+        assert to_json(doc) == f'{{"1":[{n - 1},"{-n}",[true,null,"x"]],"k":{{"v":{-(n - 1)}}}}}\n'
+
+    # one command line per JSON command, each with an integer past 2^63 - 1
+    # outside the ranks, and the whole payload it must print
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (
+                f"betti --construction F --d 0,{BIG}",
+                {
+                    "kind": "F", "m": 1, "d": [0, str(BIG)], "twist_convention": "absolute",
+                    "rows": [
+                        {"i": 0, "twist": 0, "weight": [], "rank": 1},
+                        {"i": 1, "twist": str(BIG), "weight": [str(BIG)], "rank": 1},
+                    ],
+                    "primitive": [1, 1], "multiple": 1, "herzog_kuhl_ok": True,
+                },
+            ),
+            (f"primitive --d 0,{BIG}", {"d": [0, str(BIG)], "primitive": [1, 1]}),
+            (
+                f"bott --alpha {BIG} --u 0 --m 2",
+                {"vanishes": False, "h": 0, "weight": [str(BIG), 0], "trace": [str(BIG + 1), 0]},
+            ),
+            (
+                f"duality --d 0,{BIG}",
+                {
+                    "d": [0, str(BIG)], "is_symmetric": True, "ranks_palindromic": True,
+                    "complements_match": True, "rectangle": [str(BIG), 1], "passed": True,
+                },
+            ),
+            (
+                f"profile --d {BIG},{BIG + 1}",
+                {
+                    "d": [str(BIG), str(BIG + 1)], "hilbert_function": {str(BIG): 1},
+                    "top_degree": str(BIG), "socle_weight": [str(BIG)], "socle_dim": 1,
+                },
+            ),
+            (
+                f"scan --d {BIG},{BIG + 1}",
+                {
+                    "d": [str(BIG), str(BIG + 1)], "dim_f": 1, "dim_g": 1,
+                    "outcomes": [
+                        {"u": 0, "vanishes": False, "h": 0, "weight": [0]},
+                        {"u": 1, "vanishes": False, "h": 0, "weight": [1]},
+                    ],
+                    "terms": [
+                        {"i": 0, "u": 0, "h": 0, "weight": [0], "rank": 1},
+                        {"i": 1, "u": 1, "h": 0, "weight": [1], "rank": 1},
+                    ],
+                },
+            ),
+        ],
+        ids=["betti", "primitive", "bott", "duality", "profile", "scan"],
+    )
+    def test_every_field(self, capsys, argv, expected):
+        # byte comparison: a big int must be its decimal string, an
+        # in-range int a JSON number and a bool a JSON bool
+        code, out = run(capsys, *argv.split())
+        assert code == 0
+        assert out == json.dumps(expected, separators=(",", ":")) + "\n"
 
 
 class TestValidationOrder:
