@@ -81,6 +81,20 @@ def _weyl_denominator(m: int) -> int:
     return prod(factorial(i) for i in range(m))
 
 
+def _rows(lam, m: int, cap: int) -> tuple[tuple[int, ...], list[int], list[int]]:
+    """lam padded to m parts, the most boxes each row of a strip over lam
+    can take (row 0 up to the cap, row i > 0 up to lam_{i-1}), and the most
+    the rows after each row can hold together, which telescopes to
+    lam_i - lam_{m-1}.  Raises ValueError if lam has more than m parts
+    besides trailing zeros."""
+    lam = trim(lam)
+    if len(lam) > m:
+        raise ValueError(f"{lam} has more than {m} nonzero parts")
+    lam += (0,) * (m - len(lam))
+    room = [cap - lam[0]] + [lam[i - 1] - lam[i] for i in range(1, m)] if m else []
+    return lam, room, [x - lam[-1] for x in lam]
+
+
 def _strips(
     lam, e: int | None, m: int, cap: int, weyl: bool = True
 ) -> list[tuple[tuple[int, ...], int, int | None]]:
@@ -91,22 +105,18 @@ def _strips(
     with at most m nonzero parts, e >= 0 or None, cap >= lam_1.
 
     Rows are filled top to bottom, one row for all prefixes at a time.  Row
-    i > 0 (0-based) takes at most lam_{i-1} - lam_i boxes, row 0 at most
-    cap - lam_0, and for a given e each row takes at least what the rows
-    below it cannot hold, so every prefix kept completes to a strip.  The
-    numerator grows by one row's factors prod_{a<i} (l_a - l_i) at a time;
-    with weyl false it is not computed and every numerator is None.
+    i takes at most room[i] boxes (see _rows), and for a given e each row
+    takes at least what the rows below it cannot hold, so every prefix kept
+    completes to a strip.  The numerator grows by one row's factors
+    prod_{a<i} (l_a - l_i) at a time; with weyl false it is not computed and
+    every numerator is None.
     """
-    lam = tuple(lam) + (0,) * (m - len(lam))
-    room = [cap - lam[0]] + [lam[i - 1] - lam[i] for i in range(1, m)] if m else []
+    lam, room, below = _rows(lam, m, cap)
     exact = e is not None
     if not exact:
         e = sum(room)  # every size fits, so no row has a lower bound
     elif e > sum(room):
         return []
-    below = [0] * m  # boxes the rows after row i can hold
-    for i in range(m - 2, -1, -1):
-        below[i] = below[i + 1] + room[i + 1]
     level = [((), e, 1 if weyl else None)]  # (shifted parts, boxes left, numerator)
     for i in range(m):
         base, most, below_i = lam[i] + m - i, room[i], below[i]
@@ -156,10 +166,42 @@ def _weyl_quotient(num: int, m: int) -> int:
 def pieri_dim(lam, e: int, m: int, cap: int) -> int:
     """Sum of dim S_mu(E), dim E = m, over the strips mu of
     pieri_expand(lam, e, m) with mu_1 <= cap; lam must be a partition with
-    at most m nonzero parts and cap >= lam_1."""
-    if e < 0:
+    at most m nonzero parts (or a weakly decreasing weight of m parts) and
+    cap >= lam_1.
+
+    The walk of _strips, summed as it goes: the last row takes the boxes
+    left, which the lower bound of the row above makes fit, so the last two
+    rows multiply their factors straight into the sum and only the rows
+    above them build prefixes."""
+    lam, room, below = _rows(lam, m, cap)
+    if e < 0 or e > sum(room):
         return 0
-    return _weyl_quotient(sum(num for _, _, num in _strips(lam, e, m, cap)), m)
+    if m < 2:
+        return 1  # the strip is forced and its numerator is empty
+    level = [((), e, 1)]  # (shifted parts, boxes left, numerator)
+    for i in range(m - 2):
+        base, most, below_i = lam[i] + m - i, room[i], below[i]
+        grown = []
+        for shifted, left, num in level:
+            fewest = left - below_i if left > below_i else 0
+            for l_i in range(base + fewest, base + (left if left < most else most) + 1):
+                f = num
+                for l_a in shifted:
+                    f *= l_a - l_i
+                grown.append((shifted + (l_i,), left - (l_i - base), f))
+        level = grown
+    base, most, last = lam[-2] + 2, room[-2], room[-1]
+    total = 0
+    for shifted, left, num in level:
+        fewest = left - last if left > last else 0
+        both = base + lam[-1] + 1 + left  # l_{m-2} + l_{m-1}
+        for l_i in range(base + fewest, base + (left if left < most else most) + 1):
+            l_m = both - l_i
+            f = num * (l_i - l_m)
+            for l_a in shifted:
+                f *= (l_a - l_i) * (l_a - l_m)
+            total += f
+    return _weyl_quotient(total, m)
 
 
 def pieri_dims(lam, m: int, cap: int) -> list[int]:
@@ -242,23 +284,22 @@ def dim_skew(outer, inner, n: int) -> int:
     return _int_det(mat)
 
 
-def _subpartitions(lam, max_rows: int, n: int):
+def _subpartitions(lam, max_rows: int, n: int) -> list[tuple[int, ...]]:
     """All mu inside lam with at most max_rows nonzero parts such that
-    lam/mu has at most n boxes in every row."""
+    lam/mu has at most n boxes in every row, built one row at a time."""
     lam = trim(lam)
     rows = min(len(lam), max_rows)
     if any(x > n for x in lam[rows:]):
-        return
-
-    def grow(i: int, prefix: list[int]):
-        if i == rows:
-            yield trim(prefix)
-            return
-        hi = min(lam[i], prefix[-1]) if i > 0 else lam[0]
-        for mu_i in range(hi, max(lam[i] - n, 0) - 1, -1):
-            yield from grow(i + 1, prefix + [mu_i])
-
-    yield from grow(0, [])
+        return []
+    level = [()]
+    for i in range(rows):
+        fewest = max(lam[i] - n, 0)
+        level = [
+            mu + (mu_i,)
+            for mu in level
+            for mu_i in range(min(lam[i], mu[-1]) if i else lam[0], fewest - 1, -1)
+        ]
+    return [trim(mu) for mu in level]
 
 
 def dim_super(lam, m: int, n: int) -> int:

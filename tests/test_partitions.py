@@ -1,4 +1,6 @@
+import gc
 import random
+import time
 from itertools import product
 from math import comb
 
@@ -16,6 +18,7 @@ from pureres.partitions import (
     dim_super,
     is_horizontal_strip,
     part,
+    pieri_dim,
     pieri_dims,
     pieri_expand,
     trim,
@@ -101,6 +104,13 @@ class TestPieri:
         with pytest.raises(ValueError):
             pieri_expand((1, 1, 1), 1, 2)
 
+    def test_sums_reject_too_long(self):
+        # the sums read lam as m rows, so a longer lam must not be cut short
+        with pytest.raises(ValueError, match="more than 1 nonzero parts"):
+            pieri_dim((2, 1), 3, 1, 5)
+        with pytest.raises(ValueError, match="more than 1 nonzero parts"):
+            pieri_dims((2, 1), 1, 5)
+
     def test_strip_and_multiplicity_free(self):
         rng = random.Random(4)
         for _ in range(200):
@@ -154,6 +164,23 @@ class TestPieriDimsOracle:
             under_cap = [mu for mu in brute_strips(lam, e, m) if part(mu, 0) <= cap]
             want = sum(dim_gl(mu, m) for mu in under_cap)
             assert (by_size[e] if e < len(by_size) else 0) == want, (lam, m, cap, e)
+
+
+class TestPieriDimOracle:
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(partitions(3, 4), st.integers(-1, 6), st.integers(0, 3), st.integers(0, 4))
+    def test_sum_matches_box_search(self, lam, e, extra_rows, over):
+        # over past the room of lam's rows the strips run out and the sum is 0
+        m = min(max(len(lam), 1) + extra_rows, 4)
+        cap = part(lam, 0) + over
+        under_cap = [mu for mu in brute_strips(lam, e, m) if part(mu, 0) <= cap]
+        want = sum(dim_gl(mu, m) for mu in under_cap)
+        assert pieri_dim(lam, e, m, cap) == want, (lam, e, m, cap)
+
+    def test_huge_size_is_zero_at_once(self):
+        t0 = time.perf_counter()
+        assert pieri_dim((2, 2), 10**18, 3, 4) == 0
+        assert time.perf_counter() - t0 < 0.1
 
 
 class TestDimGl:
@@ -231,6 +258,21 @@ class TestDimSuper:
             n = rng.randint(0, 3)
             assert dim_super(lam, m, 0) == dim_gl(lam, m)
             assert dim_super(lam, 0, n) == dim_gl(conjugate(lam), n)
+
+    def test_leaves_no_reference_cycle(self):
+        # garbage that only the cyclic collector frees would pile up
+        # between collections in long table runs
+        gc.collect()
+        flags = gc.get_debug()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            for lam, m, n in (((3, 2, 1), 2, 1), ((2, 2), 1, 1), ((4, 1), 2, 2)):
+                dim_super(lam, m, n)
+            gc.collect()
+            assert gc.garbage == []
+        finally:
+            gc.set_debug(flags)
+            gc.garbage.clear()
 
     def test_hook_vanishing_exhaustive(self):
         for lam in all_partitions(8):

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -209,6 +210,12 @@ class TestHilbert:
             top = alpha(d, 1)[0] - 1
             for k in range(d[0] - 1, top + 3):
                 assert hilbert_M_euler(d, k) == hilbert_M_strips(d, k), (d, k)
+
+    def test_strips_far_past_top_at_once(self):
+        # no walk or list grows with the degree once no strip fits
+        t0 = time.perf_counter()
+        assert hilbert_M_strips((0, 3, 4, 7), 10**18) == 0
+        assert time.perf_counter() - t0 < 0.1
 
     def test_profile_0347(self):
         p = module_profile((0, 3, 4, 7))
