@@ -9,14 +9,7 @@ from collections import namedtuple
 from math import comb
 
 from .partitions import check_partition, conjugate, dim_gl, trim
-from .resolutions import (
-    BettiTable,
-    alpha,
-    betti_H,
-    check_degrees,
-    det_setup,
-    gamma,
-)
+from .resolutions import check_degrees, det_terms
 
 
 class ScanMismatchError(Exception):
@@ -113,7 +106,7 @@ def det_bott_scan(d) -> DetScan:
     any disagreement.
     """
     d = check_degrees(d)
-    setup = det_setup(d)
+    setup, gammas = det_terms(d)
     m = setup.dim_f
     padded = setup.lambda_det + (0,) * (m - 1 - len(setup.lambda_det))
     head = _bott_head(padded, m)
@@ -127,10 +120,10 @@ def det_bott_scan(d) -> DetScan:
             raise ScanMismatchError(f"two nonvanishing u values map to index {i}")
         assignments[i] = (u, o.h_degree, o.weight)
     # every u = d_i - d_0 is at most d_s - d_0 = dim G, inside the scan
-    expected = {}
-    for i in range(setup.s + 1):
-        g = gamma(d, i)
-        expected[i] = (d[i] - d[0], d[i] - d[0] - i, g + (0,) * (m - len(g)))
+    expected = {
+        i: (d[i] - d[0], d[i] - d[0] - i, g + (0,) * (m - len(g)))
+        for i, g in enumerate(gammas)
+    }
     if assignments != expected:
         raise ScanMismatchError(
             f"scan {assignments} does not match predicted {expected}"

@@ -108,8 +108,7 @@ from .resolutions import (
     ResourceLimitError,
     alpha,
     betti_F,
-    check_degrees,
-    diffs,
+    degree_data,
     hilbert_M_euler,
     hilbert_M_strips,
 )
@@ -177,11 +176,10 @@ def chain_filling(d, i: int) -> list[tuple[int, int]]:
     alpha(d, 0) row by row, then for j = 1..i the e_j boxes of
     alpha(d, j)/alpha(d, j-1) at the end of row j-1.  The filling of
     alpha(d, i-1) is the first |alpha(d, i-1)| slots of this one."""
-    e = diffs(d)
-    base = alpha(d, 0)
-    boxes = _boxes(base)
+    r = degree_data(d)
+    boxes = _boxes(r.base)
     for j in range(1, i + 1):
-        boxes += [(j - 1, base[j - 1] + c) for c in range(e[j])]
+        boxes += [(j - 1, r.base[j - 1] + c) for c in range(r.e[j])]
     return boxes
 
 
@@ -561,8 +559,8 @@ class SliceLab:
     `times_var` maps."""
 
     def __init__(self, d, limit: int | None = None):
-        self.d = check_degrees(d)
-        self.m = len(self.d) - 1
+        r = degree_data(d)
+        self.d, self.m = r.d, r.m
         self.limit = tensor_limit() if limit is None else limit
         if self.d[0] < 0:
             raise ValueError(
@@ -572,7 +570,7 @@ class SliceLab:
             )
         self.table = betti_F(self.d)
         # all terms of the degree-k slice live in E^(x)(|alpha(0)| - d_0 + k)
-        self._base = sum(alpha(self.d, 0)) - self.d[0]
+        self._base = sum(r.base) - self.d[0]
         self._schur: dict = {}
         self._spaces: dict = {}
         self._cols: dict = {}

@@ -6,11 +6,17 @@ Conventions.  A degree sequence d = (d_0 < d_1 < ... < d_m) determines the
 difference sequence e with e_0 = d_0 and e_i = d_i - d_{i-1}.  Tables of
 kind "F" carry the absolute twists d_i; tables of kind "H" carry twists
 d_i - d_0 (their terms are defined only up to that shift).
+
+What follows from d is derived once per sequence into three parts, each
+an LRU of RECORD_SIZE entries, keyed on the checked d and holding tuples
+only: `degree_data`, `_f_terms` and `det_terms`.  A part that raises is
+not stored, and every entry point checks its own input and limits.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import lru_cache
 from itertools import accumulate
 from math import comb, gcd, lcm, prod
 
@@ -25,6 +31,8 @@ from .partitions import (
     pieri_expand,
     trim,
 )
+
+RECORD_SIZE = 2  # one sequence's pipeline at a time shares the record
 
 
 class BettiRayError(Exception):
@@ -48,78 +56,89 @@ class AmbiguousSocleError(Exception):
 
 
 def check_degrees(d) -> tuple[int, ...]:
+    """d as a strictly increasing tuple of at least two plain ints: a bool
+    or another int subclass becomes the int it equals."""
     d = tuple(d)
     if len(d) < 2:
         raise ValueError(f"degree sequence needs at least two entries: {d}")
-    prev = None
     for x in d:
         if not isinstance(x, int):
             raise ValueError(f"degree {x!r} in {d} is not an integer")
-        if prev is not None and x <= prev:
-            raise ValueError(f"degree sequence must be strictly increasing: {d}")
-        prev = x
-    return d
+    out = tuple(map(int, d))
+    if any(a >= b for a, b in zip(out, out[1:])):
+        raise ValueError(f"degree sequence must be strictly increasing: {d}")
+    return out
+
+
+# a checked d, its differences e, m = len(d) - 1, the base weight lambda
+# (m parts) and the top degree lambda_1 + e_1 - 1 of the module M(d)
+DegreeData = namedtuple("DegreeData", "d e m base top")
+
+
+@lru_cache(maxsize=RECORD_SIZE)
+def _degree_data(d: tuple[int, ...]) -> DegreeData:
+    e = (d[0],) + tuple(d[i] - d[i - 1] for i in range(1, len(d)))
+    # lambda_i = e_0 + sum_{j>i} (e_j - 1), i = 1..m, from the bottom row up
+    lam = tuple(accumulate(reversed(e[2:]), lambda a, x: a + x - 1, initial=e[0]))[::-1]
+    return DegreeData(d, e, len(d) - 1, lam, lam[0] + e[1] - 1)
+
+
+def degree_data(d) -> DegreeData:
+    """e, m, the base weight and the top degree of M(d), from the record."""
+    return _degree_data(check_degrees(d))
 
 
 def diffs(d) -> tuple[int, ...]:
     """e with e_0 = d_0 and e_i = d_i - d_{i-1}."""
-    d = check_degrees(d)
-    return (d[0],) + tuple(d[i] - d[i - 1] for i in range(1, len(d)))
+    return degree_data(d).e
 
 
 def degrees(e) -> tuple[int, ...]:
     """Inverse of diffs: partial sums starting at e_0."""
-    out = []
-    total = 0
-    for x in e:
-        total += x
-        out.append(total)
-    return check_degrees(out)
-
-
-def _base_weight(e) -> list[int]:
-    """Base weight from the difference sequence: lambda_i = e_0 +
-    sum_{j>i} (e_j - 1), i = 1..m, built from the bottom row up."""
-    lam = [e[0]] * (len(e) - 1)
-    for j in range(len(e) - 3, -1, -1):
-        lam[j] = lam[j + 1] + e[j + 2] - 1
-    return lam
+    return check_degrees(accumulate(e))
 
 
 def base_weight(d) -> tuple[int, ...]:
     """The weight of the 0-th term: lambda_i = e_0 + sum_{j>i} (e_j - 1)."""
-    return tuple(_base_weight(diffs(d)))
+    return degree_data(d).base
 
 
 def alpha(d, i: int) -> tuple[int, ...]:
     """Weight of the i-th term: the first i parts of the base weight grow by
     e_1, ..., e_i respectively."""
-    e = diffs(d)
-    m = len(e) - 1
-    if not 0 <= i <= m:
-        raise ValueError(f"index {i} outside 0..{m}")
-    lam = _base_weight(e)
-    for j in range(i):
-        lam[j] += e[j + 1]
-    return tuple(lam)
+    r = degree_data(d)
+    if not 0 <= i <= r.m:
+        raise ValueError(f"index {i} outside 0..{r.m}")
+    return tuple([x + y for x, y in zip(r.base, r.e[1 : i + 1])]) + r.base[i:]
+
+
+def _gamma(e, i: int, gaps) -> tuple[int, ...]:
+    """gamma(d, i) from e and the gaps, the indices j >= 1 with e_j > 1 in
+    decreasing order: e_j - 1 parts j - 1 for each gap j > max(i, 1), e_i
+    parts i, then e_j - 1 parts j for each gap j < i.  Only the gaps are
+    visited, so all s + 1 weights cost O(s * dim F)."""
+    upper: list[int] = []
+    lower: list[int] = []
+    for j in gaps:
+        if j > max(i, 1):
+            upper += [j - 1] * (e[j] - 1)
+        elif j < i:
+            lower += [j] * (e[j] - 1)
+    return tuple(upper + ([i] * e[i] if i else []) + lower)
+
+
+def _gaps(e) -> list[int]:
+    return [j for j in range(len(e) - 1, 0, -1) if e[j] > 1]
 
 
 def gamma(d, i: int) -> tuple[int, ...]:
     """Weight on F of the i-th term of the determinantal complex:
     ((s-1)^{e_s - 1}, ..., i^{e_{i+1} - 1}, i^{e_i}, (i-1)^{e_{i-1} - 1},
     ..., 1^{e_1 - 1}), the conjugate of alpha(d, i)."""
-    e = diffs(d)
-    s = len(d) - 1
-    if not 0 <= i <= s:
-        raise ValueError(f"index {i} outside 0..{s}")
-    parts: list[int] = []
-    for j in range(s - 1, i - 1, -1):
-        parts.extend([j] * (e[j + 1] - 1))
-    if i >= 1:
-        parts.extend([i] * e[i])
-    for j in range(i - 1, 0, -1):
-        parts.extend([j] * (e[j] - 1))
-    return trim(parts)
+    r = degree_data(d)
+    if not 0 <= i <= r.m:
+        raise ValueError(f"index {i} outside 0..{r.m}")
+    return _gamma(r.e, i, _gaps(r.e))
 
 
 # Largest dim F the determinantal construction accepts.  The cost of the
@@ -135,15 +154,27 @@ class DetSetup(namedtuple("DetSetup", "s dim_f dim_g lambda_det")):
     __slots__ = ()
 
 
-def det_setup(d) -> DetSetup:
-    e = diffs(d)
+@lru_cache(maxsize=RECORD_SIZE)
+def _det_terms(d: tuple[int, ...]) -> tuple[DetSetup, tuple[tuple[int, ...], ...]]:
+    e = _degree_data(d).e
     s = len(d) - 1
     dim_f = 1 + sum(e[i] - 1 for i in range(1, s + 1))
     if dim_f > DET_DIM_LIMIT:
         raise ResourceLimitError(
             f"determinantal construction needs dim F = {dim_f} > limit {DET_DIM_LIMIT}"
         )
-    return DetSetup(s=s, dim_f=dim_f, dim_g=dim_f + s - 1, lambda_det=gamma(d, 0))
+    gaps = _gaps(e)
+    gammas = tuple(_gamma(e, i, gaps) for i in range(s + 1))
+    return DetSetup(s=s, dim_f=dim_f, dim_g=dim_f + s - 1, lambda_det=gammas[0]), gammas
+
+
+def det_terms(d) -> tuple[DetSetup, tuple[tuple[int, ...], ...]]:
+    """det_setup(d) and gamma(d, 0..s), refused past DET_DIM_LIMIT."""
+    return _det_terms(check_degrees(d))
+
+
+def det_setup(d) -> DetSetup:
+    return det_terms(d)[0]
 
 
 BettiRow = namedtuple(
@@ -203,13 +234,11 @@ BETTI_LENGTH_LIMIT = 64
 BETTI_COST_LIMIT = 2**17
 
 
-def _f_weights(d) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
-    """d checked, and the weights alpha(d, 0), ..., alpha(d, m) of the terms
-    of the F-complex, each with m parts.  Raises ResourceLimitError when d
-    is over BETTI_LENGTH_LIMIT or BETTI_COST_LIMIT, before any Weyl
-    dimension is paid for."""
-    d = check_degrees(d)
-    e = diffs(d)
+@lru_cache(maxsize=RECORD_SIZE)
+def _f_terms(d: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """The weights alpha(d, 0..m) of the F-complex (m parts each) and their
+    ranks dim S_alpha(E); refused over BETTI_LENGTH_LIMIT or
+    BETTI_COST_LIMIT before any Weyl dimension is paid for."""
     m = len(d) - 1
     if m > BETTI_LENGTH_LIMIT:
         raise ResourceLimitError(
@@ -220,25 +249,21 @@ def _f_weights(d) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
         raise ResourceLimitError(
             f"degree sequence has m^2 * bitlen(d_m - d_0) = {cost} > limit {BETTI_COST_LIMIT}"
         )
-    weight = _base_weight(e)  # alpha(d, i) once its first i parts have grown
-    weights = [tuple(weight)]
-    for i in range(1, m + 1):
-        weight[i - 1] += e[i]
-        weights.append(tuple(weight))
-    return d, weights
+    weights = tuple(alpha(d, i) for i in range(m + 1))
+    return weights, tuple(dim_gl(w, m) for w in weights)
 
 
 def betti_F(d) -> BettiTable:
     """Betti table of the length-m equivariant pure complex over Sym(E),
     dim E = m: the i-th term is generated in degree d_i by the Schur module
     of weight alpha(d, i)."""
-    d, weights = _f_weights(d)
-    m = len(d) - 1
+    d = check_degrees(d)
+    weights, ranks = _f_terms(d)
     rows = tuple(
-        BettiRow(i=i, twist=d[i], weight=trim(w), rank=dim_gl(w, m))
-        for i, w in enumerate(weights)
+        BettiRow(i=i, twist=d[i], weight=trim(w), rank=rank)
+        for i, (w, rank) in enumerate(zip(weights, ranks))
     )
-    return BettiTable(kind="F", d=d, rows=rows, params={"m": m})
+    return BettiTable(kind="F", d=d, rows=rows, params={"m": len(d) - 1})
 
 
 def betti_H(d) -> BettiTable:
@@ -246,21 +271,13 @@ def betti_H(d) -> BettiTable:
     rank_i = dim S_{gamma(d,i)}(F) * C(dim G, d_i - d_0), twists relative
     to d_0."""
     d = check_degrees(d)
-    setup = det_setup(d)
+    setup, gammas = _det_terms(d)
     rows = []
-    for i in range(setup.s + 1):
+    for i, g in enumerate(gammas):
         t = d[i] - d[0]
-        g = gamma(d, i)
         rank = dim_gl(g, setup.dim_f) * comb(setup.dim_g, t) if t <= setup.dim_g else 0
         rows.append(
-            BettiRow(
-                i=i,
-                twist=t,
-                weight=g,
-                weight2=(1,) * t,
-                rank=rank,
-                vanishing=rank == 0,
-            )
+            BettiRow(i=i, twist=t, weight=g, weight2=(1,) * t, rank=rank, vanishing=rank == 0)
         )
     return BettiTable(
         kind="H",
@@ -462,37 +479,35 @@ def check_herzog_kuhl(table: BettiTable, codim: int) -> bool:
 
 def hilbert_M_euler(d, k: int) -> int:
     """Hilbert function of the module resolved by the F-complex, as the
-    alternating sum of the slice dimensions of the free terms.  Only the
-    terms generated in degree <= k count, so only their ranks are
-    computed; betti_F's limits hold for every k."""
-    d, weights = _f_weights(d)
+    alternating sum of the slice dimensions of the free terms generated in
+    degree <= k.  The ranks are betti_F's, from the record, so betti_F's
+    limits hold for every k."""
+    d = check_degrees(d)
+    ranks = _f_terms(d)[1]
     m = len(d) - 1
-    total = 0
-    for i, w in enumerate(weights):
-        if d[i] > k:
-            break
-        total += (-1) ** i * dim_gl(w, m) * comb(k - d[i] + m - 1, m - 1)
-    return total
+    return sum(
+        (-1) ** i * ranks[i] * comb(k - d[i] + m - 1, m - 1)
+        for i in range(m + 1)
+        if d[i] <= k
+    )
 
 
 def _strip_weights(d, k: int) -> list[tuple[int, ...]]:
     """Pieri constituents of the degree-k slice of the 0-th term that survive
     to the resolved module: strips over the base weight avoiding alpha(d,1),
-    which are those with mu_1 < lam_1 + e_1 (see hilbert_M_strips).
+    which are those with mu_1 <= top (see hilbert_M_strips).
 
     Every part of the base weight is at least d_0, so the strips are taken
     over the partition lam - d_0 (1^m) and twisted back by d_0 (1^m): a
     horizontal strip does not change under adding full columns, and d_0
     may be negative."""
-    d = check_degrees(d)
-    if k < d[0]:
+    r = degree_data(d)
+    d0, m = r.d[0], r.m
+    if k < d0:
         return []
-    e = diffs(d)
-    m = len(d) - 1
-    lam = [x - d[0] for x in _base_weight(e)]
     return [
-        trim(x + d[0] for x in mu + (0,) * (m - len(mu)))
-        for mu in pieri_expand(lam, k - d[0], m, cap=lam[0] + e[1] - 1)
+        trim(x + d0 for x in mu + (0,) * (m - len(mu)))
+        for mu in pieri_expand([x - d0 for x in r.base], k - d0, m, cap=r.top - d0)
     ]
 
 
@@ -501,13 +516,11 @@ def hilbert_M_strips(d, k: int) -> int:
     bookkeeping: sum of dim S_mu(E) over the surviving Pieri strips.  Every
     strip mu contains the base weight lam, so mu contains alpha(d, 1)
     exactly when mu_1 >= lam_1 + e_1; the survivors are the strips with
-    mu_1 <= lam_1 + e_1 - 1."""
-    d = check_degrees(d)
-    if k < d[0]:
+    mu_1 <= top = lam_1 + e_1 - 1."""
+    r = degree_data(d)
+    if k < r.d[0]:
         return 0
-    e = diffs(d)
-    lam = _base_weight(e)
-    return pieri_dim(lam, k - d[0], len(d) - 1, lam[0] + e[1] - 1)
+    return pieri_dim(r.base, k - r.d[0], r.m, r.top)
 
 
 # Largest degree span top - d_0 whose Hilbert function module_profile
@@ -536,11 +549,8 @@ def module_profile(d) -> ModuleProfile:
     resolved by the F-complex.  The socle weight is alpha(d, m) with one
     column of full height m removed; its dimension equals the last Betti
     number (Cohen-Macaulay type)."""
-    d = check_degrees(d)
-    e = diffs(d)
-    m = len(d) - 1
-    lam = _base_weight(e)
-    top = lam[0] + e[1] - 1  # alpha(d, 1)_1 - 1
+    r = degree_data(d)
+    d, e, m, top = r.d, r.e, r.m, r.top
     if top - d[0] > PROFILE_SPAN_LIMIT:
         raise ResourceLimitError(
             f"module profile spans degrees {d[0]}..{top}, more than {PROFILE_SPAN_LIMIT}"
@@ -553,7 +563,7 @@ def module_profile(d) -> ModuleProfile:
         )
     # hilbert_M_strips for every k at once: one walk over the surviving
     # strips of all sizes, 0..top - d_0, with the same cap mu_1 <= top
-    hf = dict(enumerate(pieri_dims(lam, m, top), start=d[0]))
+    hf = dict(enumerate(pieri_dims(r.base, m, top), start=d[0]))
     top_strips = _strip_weights(d, top)
     if len(top_strips) != 1:
         raise AmbiguousSocleError(f"top degree {top} carries strips {top_strips}")
@@ -590,22 +600,20 @@ def duality_check(d) -> DualityReport:
     """Self-duality of the F-complex when e is palindromic: ranks are
     palindromic and alpha(d, i), alpha(d, m-i) are complementary in the
     rectangle of width lambda_1 + e_1 and height m."""
-    d = check_degrees(d)
-    e = diffs(d)
-    m = len(d) - 1
+    r = degree_data(d)
+    d, e, m = r.d, r.e, r.m
     symmetric = all(e[i] == e[m + 1 - i] for i in range(1, m + 1))
     if not symmetric:
         return DualityReport(d=d, is_symmetric=False)
-    t = betti_F(d)
-    ranks_ok = all(t.ranks[i] == t.ranks[m - i] for i in range(m + 1))
-    lam = base_weight(d)
+    weights, ranks = _f_terms(d)
+    ranks_ok = all(ranks[i] == ranks[m - i] for i in range(m + 1))
     # complementarity is a statement about the normalized weights: the
     # overall twist by d_0 is shared by every term and drops out
-    width = lam[0] - d[0] + e[1]
+    width = r.top + 1 - d[0]
     bad = []
     for i in range(m + 1):
-        norm = tuple(a - d[0] for a in alpha(d, i))
-        norm_dual = trim(a - d[0] for a in alpha(d, m - i))
+        norm = tuple(a - d[0] for a in weights[i])
+        norm_dual = trim(a - d[0] for a in weights[m - i])
         comp = complement_in_rectangle(norm, width, m)
         if comp != norm_dual:
             bad.append((i, norm, comp, norm_dual))

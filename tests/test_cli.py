@@ -231,6 +231,40 @@ class TestOtherCommands:
         assert "0,3,4,7" in out.replace(" ", "") or "(0, 3, 4, 7)" in out
 
 
+class TestCallOrder:
+    """Answers carry nothing over from an earlier sequence in the same
+    process: each command in A-B-A order prints what a fresh process does."""
+
+    SEQUENCES = ("0,3,4,7", "0,1,3")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["betti", "--construction", "F"],
+            ["betti", "--construction", "H"],
+            ["scan"],
+            ["profile"],
+            ["verify"],
+        ],
+        ids=["betti-F", "betti-H", "scan", "profile", "verify"],
+    )
+    def test_matches_a_fresh_process(self, capsys, argv):
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        fresh = {}
+        for d in self.SEQUENCES:
+            res = subprocess.run(
+                [sys.executable, "-m", "pureres.cli", *argv, "--d", d],
+                capture_output=True,
+                env=env,
+                timeout=60,
+            )
+            fresh[d] = (res.returncode, res.stdout.decode("utf-8"))
+        a, b = self.SEQUENCES
+        for d in (a, b, a):
+            assert run(capsys, *argv, "--d", d) == fresh[d], d
+
+
 class TestReproduction:
     def test_rows_flag_discrepancy(self):
         rows = reproduction_rows()

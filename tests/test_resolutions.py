@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pureres import resolutions
 from pureres.bott import det_bott_scan
 from pureres.partitions import conjugate, dim_gl, dim_super, trim
+from pureres.render import betti_to_dict, to_json
 from pureres.resolutions import (
     BETTI_COST_LIMIT,
     BETTI_LENGTH_LIMIT,
@@ -420,3 +422,109 @@ class TestDetSetup:
         assert det_setup((0, DET_DIM_LIMIT)).dim_f == DET_DIM_LIMIT
         with pytest.raises(ResourceLimitError):
             det_setup((0, DET_DIM_LIMIT + 1))
+
+    def test_gammas_visit_only_the_gaps(self):
+        # unit gaps give dim F = 1: all s + 1 weights take O(s), not O(s^2)
+        t0 = time.perf_counter()
+        assert det_setup(range(10**5)).dim_f == 1
+        scan = det_bott_scan(range(6000))
+        assert time.perf_counter() - t0 < 2.0
+        assert len(scan.assignments) == 6000
+
+
+RECORD_PARTS = (resolutions._degree_data, resolutions._f_terms, resolutions._det_terms)
+
+
+def clear_record():
+    for part in RECORD_PARTS:
+        part.cache_clear()
+
+
+# single answers for d, each through one public entry point
+QUERIES = [
+    lambda d: (betti_F(d), betti_F(d).params),
+    lambda d: (betti_H(d), betti_H(d).params),
+    lambda d: hilbert_M_euler(d, d[0] - 1),
+    lambda d: hilbert_M_euler(d, d[0] + 2),
+    lambda d: hilbert_M_euler(d, d[-1]),
+    lambda d: hilbert_M_strips(d, d[0] + 1),
+    lambda d: hilbert_M_strips(d, d[0] + 3),
+    module_profile,
+    duality_check,
+    det_bott_scan,
+    det_setup,
+    base_weight,
+    diffs,
+    lambda d: alpha(d, len(d) - 1),
+    lambda d: gamma(d, 1),
+    lambda d: multiple_of_primitive(betti_F(d)),
+]
+
+
+class TestRecord:
+    """The per-sequence record: bounded, and invisible in every answer."""
+
+    @pytest.mark.parametrize("first, second", [((0, True, 3), (0, 1, 3)), ((0, 1, 3), (0, True, 3))])
+    def test_bool_degrees_are_plain_ints(self, first, second):
+        clear_record()
+        for d in (first, second):
+            table = betti_F(d)
+            assert table.d == (0, 1, 3)
+            text = to_json(betti_to_dict(table))
+            assert '"d":[0,1,3]' in text and '"twist":true' not in text
+            for rec in (table, betti_H(d), module_profile(d), duality_check(d), det_bott_scan(d)):
+                assert [type(x) for x in rec.d] == [int] * 3
+
+    def test_int_subclasses_become_ints(self):
+        class Degree(int):
+            pass
+
+        d = check_degrees((Degree(0), Degree(2)))
+        assert d == (0, 2) and [type(x) for x in d] == [int, int]
+
+    def test_interleaved_calls_match_a_cleared_record(self):
+        rng = random.Random(40)
+        seqs = [random_degrees(rng, 5, 14) for _ in range(50)]
+        calls = [(j, q) for j in range(len(seqs)) for q in range(len(QUERIES))]
+        rng.shuffle(calls)
+        got = {(j, q): QUERIES[q](seqs[j]) for j, q in calls}
+        for (j, q), answer in got.items():
+            clear_record()
+            assert QUERIES[q](seqs[j]) == answer, (seqs[j], q)
+
+    def test_stays_bounded(self):
+        for j in range(200):
+            d = (j % 4, j % 4 + 1 + j // 40, j % 4 + 3 + j // 40 + j % 40)
+            betti_F(d)
+            betti_H(d)
+            module_profile(d)
+        for part in RECORD_PARTS:
+            info = part.cache_info()
+            assert info.maxsize <= 4 and info.currsize <= info.maxsize
+
+    def test_mutating_results_changes_no_later_answer(self):
+        d = (0, 3, 4, 7)
+        clear_record()
+        expected = [query(d) for query in QUERIES]
+        betti_F(d).params["m"] = 99
+        betti_H(d).params.clear()
+        hf = module_profile(d).hf
+        hf[0] = -1
+        hf[100] = 5
+        assert [query(d) for query in QUERIES] == expected
+        assert betti_F(d).params == {"m": 3}
+        assert module_profile(d).hf == expected[QUERIES.index(module_profile)].hf
+
+    def test_limits_unchanged(self):
+        d = (0, 2**200000)
+        assert hilbert_M_strips(d, 5) == 1
+        assert alpha(d, 1) == (2**200000,)
+        for _ in range(2):  # a refusal is not stored
+            with pytest.raises(ResourceLimitError):
+                hilbert_M_euler(d, 5)
+        # gamma builds one weight and keeps no dim F limit; det_setup does
+        wide = (0, DET_DIM_LIMIT + 5)
+        assert gamma(wide, 1) == (1,) * (DET_DIM_LIMIT + 5)
+        for _ in range(2):
+            with pytest.raises(ResourceLimitError):
+                det_setup(wide)
