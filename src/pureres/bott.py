@@ -9,7 +9,7 @@ from collections import namedtuple
 from math import comb
 
 from .partitions import check_partition, conjugate, dim_gl, trim
-from .resolutions import check_degrees, det_terms
+from .resolutions import check_degrees, check_det_cost, det_terms
 
 
 class ScanMismatchError(Exception):
@@ -139,6 +139,7 @@ def det_bott_scan(d) -> DetScan:
 
 def scan_ranks(scan: DetScan) -> dict[int, int]:
     """Ranks of the determinantal table recomputed from the scan output."""
+    check_det_cost(scan.d, scan.dim_f)
     return {
         i: dim_gl(w, scan.dim_f) * comb(scan.dim_g, u)
         for i, (u, h, w) in scan.assignments.items()

@@ -27,10 +27,10 @@ alpha with entries < m, each entry placed in the slot of its box: exactly
 dim S_alpha(E) words, which are also the pivot words P (`realize_schur`).
 The value of Y(p) at a word w is the number of row permutations fixing p
 times the sum of sign(q) over the column permutations q for which q.w is a
-row rearrangement of p.  A per-module table (`at_pivots`) holds that sum
-for every pivot word and row key, so the dim x dim integer matrix V of the
-values of the Y(w) at P costs one lookup per entry, and no basis vector
-is stored expanded.
+row rearrangement of p.  A per-module table (`at_pivots`) holds that
+value for every pivot word and row key, so the dim x dim integer matrix V
+of the values of the Y(w) at P costs one lookup per entry, and no basis
+vector is stored expanded.
 
 Soundness.  Exact elimination proves V nonsingular.  A linear relation
 among the Y(w) would hold among their values at P, that is among the
@@ -49,8 +49,15 @@ values at P, which depend only on the row key of p (`scaled_image`), and
 those of g(Y(w)) are the coordinates of Y(g w); only the generator images
 expand a basis vector, one at a time.
 
+Slices.  The slice (F_i)_k is read off two tables by index.  With P the
+pivot words of S_alpha(i)(E) and n_tails sorted tail multisets of degree
+j (`SliceLab.tails`), basis vector number s * n_tails + u of (F_i)_k is
+Y(P[s]) (x) sym(u-th multiset), sym the normalized symmetric tensor.  It
+is a basis because the Schur basis is one and the tail multisets are
+distinct, so nothing is echelonized.
+
 Symmetric tails are never expanded into their anagrams.  A slice vector is
-stored as {(head word, sorted tail multiset): c}, where c is the sum of its
+written {(head word, sorted tail multiset): c}, where c is the sum of its
 coefficients over all anagrams of the tail; every vector here is symmetric
 in its tail slots, so this loses nothing.  The basis vector s (x) sym(u)
 is then {(h, u): s[h]}.  Every tail operation has coefficient 1, because
@@ -69,13 +76,13 @@ once per expanded vector, and the Schur coordinates of the i-th map are
 found once per target row key of its head prefixes.
 
 Tables are cached on the `SliceLab` by what they depend on.  The tail
-multisets of a symmetric degree j, their index and the map of each
-variable into degree j + 1 are built once per j and shared by every slice
-with that tail degree; merging a suffix into the tails composes those
-variable maps.  The Schur coordinates of a letter permutation g on F_i
-depend only on (i, g), so the equivariance checks of maps i and i + 1
-share F_i's.  Each lab starts empty: nothing is shared between
-certificates.
+multisets of a symmetric degree j and their index are built once per j
+and shared by every slice with that tail degree.  Merging a suffix into
+the tails of degree j is a table per (j, suffix): one letter is looked
+up, and a longer suffix composes the one-letter maps.  The Schur
+coordinates of a letter permutation g on F_i depend only on (i, g), so
+the equivariance checks of maps i and i + 1 share F_i's.  Each lab starts
+empty: nothing is shared between certificates.
 
 Slice matrices are about 1-2% nonzero, so the certificate keeps them as
 sparse columns, one {row: nonzero entry} dict per source basis vector;
@@ -100,7 +107,7 @@ import os
 from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
-from math import comb, factorial, gcd, lcm, prod
+from math import factorial, gcd, lcm, prod
 from operator import itemgetter
 
 from .partitions import dim_gl, trim
@@ -108,6 +115,7 @@ from .resolutions import (
     ResourceLimitError,
     alpha,
     betti_F,
+    check_degrees,
     degree_data,
     hilbert_M_euler,
     hilbert_M_strips,
@@ -306,15 +314,6 @@ def _multiset_perms(word):
 # converted to dense rows (lists), at the boundary.
 
 
-def _dense(cols, rows: int) -> list:
-    """Dense rows of the sparse column matrix cols with the given row count."""
-    out = [[Fraction(0)] * len(cols) for _ in range(rows)]
-    for j, col in enumerate(cols):
-        for r, x in col.items():
-            out[r][j] = x
-    return out
-
-
 def mul_columns(a, b) -> list:
     """Sparse columns of the product a b of two sparse column matrices:
     column j is the sum of x times column r of a over the entries (r, x)
@@ -392,7 +391,7 @@ class SchurRealization(
             "pivots",  # words P: basis vector s is Y(P[s]), Y the symmetrizer
             "solve",  # sparse columns of N, one per pivot word
             "denom",  # D: a vector v of the image has coordinates N (v at P) / D
-            "at_pivots",  # row key r -> {j: sum of sign(q) over column perms q with key(q.P[j]) = r}
+            "at_pivots",  # row key r -> {j: value at P[j] of Y(p), p any word of key r}
         ],
     )
 ):
@@ -405,31 +404,16 @@ class SchurRealization(
     def dim(self) -> int:
         return len(self.pivots)
 
-    def scaled_coords(self, values: dict) -> dict:
-        """D times the coordinates of the vector of the symmetrizer image
-        whose values at the pivot words are {j: value at P[j]} (zeros may
-        be left out): N times the values, so integers stay integers."""
+    def scaled_image(self, key) -> dict:
+        """D times the coordinates of Y(p) for the words p of row key `key`
+        (`YoungSymmetrizer.row_key`): N times its values at the pivot words,
+        so integers stay integers.  Row rearrangements of p have the same
+        image."""
         acc: dict = {}
-        for j, x in values.items():
+        for j, x in self.at_pivots.get(key, {}).items():
             for r, y in self.solve[j].items():
                 acc[r] = acc.get(r, 0) + x * y
         return acc
-
-    def scaled_image(self, key) -> dict:
-        """D times the coordinates of Y(p) for the words p of row key `key`
-        (`YoungSymmetrizer.row_key`), from its values at the pivot words
-        (`_values_at_pivots`): row rearrangements of p have the same image."""
-        return self.scaled_coords(_values_at_pivots(self.at_pivots, key))
-
-
-def _values_at_pivots(at_pivots: dict, key) -> dict:
-    """{j: value of Y(p) at P[j]} for a word p of row key `key`, zeros left
-    out.  Y sums sign(q) q r over the column permutations q and row
-    permutations r, so the value of Y(p) at w is the number of row
-    permutations fixing p times the sum of sign(q) over the q for which
-    q.w is a row rearrangement of p: `at_pivots` of the row key of p."""
-    mult = _stabilizer(key)
-    return {j: mult * x for j, x in at_pivots.get(key, {}).items()}
 
 
 def _ssyt_words(lam, m: int, boxes) -> list:
@@ -509,8 +493,11 @@ def realize_schur(lam, m: int, limit: int | None = None, boxes=None) -> SchurRea
             key = sym.row_key(gather(w))
             row = at_pivots.setdefault(key, {})
             row[j] = row.get(j, 0) + sign
-    at_pivots = {key: {j: x for j, x in row.items() if x} for key, row in at_pivots.items()}
-    inverse = _inverse([_values_at_pivots(at_pivots, sym.row_key(w)) for w in pivots])
+    # times the row stabilizer of the key: the value of Y(p) at P[j]
+    for key, row in at_pivots.items():
+        mult = _stabilizer(key)
+        at_pivots[key] = {j: mult * x for j, x in row.items() if x}
+    inverse = _inverse([at_pivots.get(sym.row_key(w), {}) for w in pivots])
     if inverse is None:
         raise DimMismatchError(f"the {target} tableau images of {lam} over dim {m} are dependent")
     denom = lcm(*[x.denominator for col in inverse for x in col.values()])
@@ -521,42 +508,32 @@ def realize_schur(lam, m: int, limit: int | None = None, boxes=None) -> SchurRea
     )
 
 
-class SliceSpace:
-    """The degree-k slice S_lam(E) (x) Sym^j(E) of one free term, j = k - d_i.
-
-    Basis vector number `s * len(multisets) + u` is Y(schur.pivots[s]) (x)
-    sym(multisets[u]), where sym(u) is the normalized symmetric tensor of
-    the sorted tail multiset u.  A slice vector is written
-    {(head word, sorted tail): c}, with c the sum of its coefficients over
-    all anagrams of the tail in E^(x)N; the basis vector s (x) sym(u) is
-    then {(h, u): s[h]}.  Maps that act on the tail (moving head letters
-    into it, multiplying by a variable, permuting letters) send each
-    (h, u) to a single (h', u') with coefficient 1, because the normalized
-    symmetrizer sends every anagram of a multiset to the same sym(u).
-
-    `tails` is the lab's table of degree j: the multisets and their index,
-    shared with every slice of that tail degree.  The basis is independent
-    because the Schur basis is and the tail multisets are distinct, so
-    nothing is echelonized here."""
-
-    def __init__(self, schur: SchurRealization, sym_degree: int, tails: tuple[list, dict]):
-        self.schur = schur
-        self.sym_degree = sym_degree
-        self.multisets, self.tail_index = tails
-
-    @property
-    def dim(self) -> int:
-        return self.schur.dim * len(self.multisets)
+def _tensor_columns(parts, n_src: int, n_tgt: int) -> list:
+    """Sparse columns of a map on Schur (x) tail bases.  parts[s] lists
+    pairs (tails, {target Schur index r: x}) for source Schur vector s, and
+    column s * n_src + u gets x at row r * n_tgt + tails[u]; the pairs of
+    one s must hit distinct rows."""
+    cols = []
+    for pairs in parts:
+        block = [{} for _ in range(n_src)]
+        for tails, coeffs in pairs:
+            for r, x in coeffs.items():
+                row = r * n_tgt
+                for col, t in zip(block, tails):
+                    col[row + t] = x
+        cols += block
+    return cols
 
 
 class SliceLab:
-    """Shared realization context for one degree sequence.  Its caches are
-    keyed by what their entries depend on: per term i the Schur
+    """Shared realization context for one degree sequence.  A slice (F_i)_k
+    is an index pair, read off two tables: the Schur realization of term
+    i and the tail multisets of degree j = k - d_i (`tail_degree`).  The
+    caches are keyed by what their entries depend on: per term i the Schur
     realizations (all in the chain filling) and generator images, per
     (i, g) the Schur actions of letter permutations, per tail degree j the
-    tail tables, variable maps and merged suffix tails, per slice (i, k)
-    the slice spaces and differential columns, and per (i, k, var) the
-    `times_var` maps."""
+    tail tables, per (j, suffix) the merged tails, per slice (i, k) the
+    differential columns, and per (i, k, var) the `times_var` maps."""
 
     def __init__(self, d, limit: int | None = None):
         r = degree_data(d)
@@ -568,15 +545,13 @@ class SliceLab:
                 f" modules only; the untwisted d - d_0 = {tuple(x - self.d[0] for x in self.d)}"
                 f" has the same slice ranks, with slice degrees shifted by {-self.d[0]}"
             )
-        self.table = betti_F(self.d)
+        betti_F(self.d)  # for its limits on m and on the Weyl products only
         # all terms of the degree-k slice live in E^(x)(|alpha(0)| - d_0 + k)
         self._base = sum(r.base) - self.d[0]
         self._schur: dict = {}
-        self._spaces: dict = {}
         self._cols: dict = {}
         self._images: dict = {}
         self._tails: dict = {}
-        self._var_maps: dict = {}
         self._merged: dict = {}
         self._times: dict = {}
         self._actions: dict = {}
@@ -588,6 +563,12 @@ class SliceLab:
                 f"slice degree {k} needs ambient dimension {max(self.m, 2)}^{n}"
                 f" > limit {self.limit}"
             )
+
+    def tail_degree(self, i: int, k: int) -> int:
+        """j = k - d_i, the tail degree of (F_i)_k; negative below the
+        generator degree, where the slice is zero."""
+        self.guard(k)
+        return k - self.d[i]
 
     def schur(self, i: int) -> SchurRealization:
         if i not in self._schur:
@@ -606,51 +587,26 @@ class SliceLab:
             t = self._tails[j] = (multisets, {u: n for n, u in enumerate(multisets)})
         return t
 
-    def var_maps(self, j: int) -> list:
-        """For each variable v, the list over the tails u of degree j of the
-        index of sorted(u + (v,)) in degree j + 1."""
-        up = self._var_maps.get(j)
-        if up is None:
-            multisets = self.tails(j)[0]
-            index = self.tails(j + 1)[1]
-            up = self._var_maps[j] = [
-                [index[tuple(sorted(u + (v,)))] for u in multisets] for v in range(self.m)
-            ]
-        return up
-
     def merged_tails(self, j: int, suffix: tuple) -> list:
         """The list over the tails u of degree j of the index of
-        sorted(u + suffix) in degree j + |suffix|: the variable maps of the
-        suffix letters composed, one letter at a time."""
+        sorted(u + suffix) in degree j + |suffix|.  A one-letter suffix is
+        looked up; a longer one composes the one-letter maps, which
+        measured faster than sorting every merged tail."""
         key = (j, suffix)
         t = self._merged.get(key)
         if t is None:
-            up = self.var_maps(j + len(suffix) - 1)[suffix[-1]]
-            t = up if len(suffix) == 1 else [up[x] for x in self.merged_tails(j, suffix[:-1])]
+            if len(suffix) == 1:
+                index = self.tails(j + 1)[1]
+                t = [index[tuple(sorted(u + suffix))] for u in self.tails(j)[0]]
+            else:
+                up = self.merged_tails(j + len(suffix) - 1, suffix[-1:])
+                t = [up[x] for x in self.merged_tails(j, suffix[:-1])]
             self._merged[key] = t
         return t
 
-    def space(self, i: int, k: int) -> SliceSpace:
-        """Realized (F_i)_k; zero-dimensional below the generator degree."""
-        key = (i, k)
-        if key not in self._spaces:
-            self.guard(k)
-            if k < self.d[i]:
-                sp = None
-            else:
-                j = k - self.d[i]
-                sp = SliceSpace(self.schur(i), j, self.tails(j))
-                expected = self.table.ranks[i] * comb(j + self.m - 1, self.m - 1)
-                if sp.dim != expected:
-                    raise DimMismatchError(
-                        f"slice ({i}, {k}) has dimension {sp.dim}, expected {expected}"
-                    )
-            self._spaces[key] = sp
-        return self._spaces[key]
-
     def slice_dim(self, i: int, k: int) -> int:
-        sp = self.space(i, k)
-        return 0 if sp is None else sp.dim
+        j = self.tail_degree(i, k)
+        return 0 if j < 0 else self.schur(i).dim * len(self.tails(j)[0])
 
     def generator_images(self, i: int) -> list:
         """Image of each Schur basis vector of F_i under the i-th map, as
@@ -704,21 +660,16 @@ class SliceLab:
             raise ValueError(f"differential index {i} outside 1..{self.m}")
         key = (i, k)
         if key not in self._cols:
-            src = self.space(i, k)
-            tgt = self.space(i - 1, k)
+            j = self.tail_degree(i, k)
             cols = []
-            if src is not None:  # then tgt is not None either: d_{i-1} < d_i
-                j, n_tgt = src.sym_degree, len(tgt.multisets)
-                for img in self.generator_images(i):
-                    block = [{} for _ in src.multisets]
-                    for suffix, coeffs in img.items():
-                        tails = self.merged_tails(j, suffix)
-                        for r, x in coeffs.items():
-                            row = r * n_tgt
-                            for col, t in zip(block, tails):
-                                col[row + t] = x
-                    cols += block
-                if k == self.d[i] and tgt.dim and cols and not any(cols):
+            if j >= 0:  # then so is the target's k - d_{i-1} > j
+                n_tgt = len(self.tails(k - self.d[i - 1])[0])
+                parts = [
+                    [(self.merged_tails(j, suffix), coeffs) for suffix, coeffs in img.items()]
+                    for img in self.generator_images(i)
+                ]
+                cols = _tensor_columns(parts, len(self.tails(j)[0]), n_tgt)
+                if k == self.d[i] and not any(cols):
                     raise ZeroMapError(
                         f"differential {i} vanished at its generator slice {k}"
                     )
@@ -729,7 +680,11 @@ class SliceLab:
         """Matrix of the i-th differential on the degree-k slice, in the
         realized bases (target coordinates x source coordinates)."""
         cols = self.differential_columns(i, k)
-        return _dense(cols, self.slice_dim(i - 1, k))
+        out = [[Fraction(0)] * len(cols) for _ in range(self.slice_dim(i - 1, k))]
+        for j, col in enumerate(cols):
+            for r, x in col.items():
+                out[r][j] = x
+        return out
 
     def times_var(self, i: int, k: int, var: int) -> list:
         """Multiplication by the var-th basis variable, (F_i)_k ->
@@ -741,12 +696,12 @@ class SliceLab:
         if out is None:
             if not 0 <= var < self.m:
                 raise ValueError(f"variable {var} outside 0..{self.m - 1}")
-            src = self.space(i, k)
+            j = self.tail_degree(i, k)
             out = []
-            if src is not None:
-                n_tgt = len(self.space(i, k + 1).multisets)
-                up = self.var_maps(src.sym_degree)[var]
-                out = [s * n_tgt + t for s in range(src.schur.dim) for t in up]
+            if j >= 0:
+                n_tgt = len(self.tails(self.tail_degree(i, k + 1))[0])
+                up = self.merged_tails(j, (var,))
+                out = [s * n_tgt + t for s in range(self.schur(i).dim) for t in up]
             self._times[key] = out
         return out
 
@@ -770,16 +725,13 @@ class SliceLab:
         """Sparse columns of the permutation g of basis letters on (F_i)_k:
         s (x) sym(u) goes to g(s) (x) sym(g(u)), with g(s) from
         `schur_action`."""
-        sp = self.space(i, k)
-        if sp is None:
+        j = self.tail_degree(i, k)
+        if j < 0:
             return []
-        n, index = len(sp.multisets), sp.tail_index
-        tails = [index[tuple(sorted([g[x] for x in u]))] for u in sp.multisets]
-        return [
-            {r * n + t: x for r, x in coeffs.items()}
-            for coeffs in self.schur_action(i, g)
-            for t in tails
-        ]
+        multisets, index = self.tails(j)
+        tails = [index[tuple(sorted([g[x] for x in u]))] for u in multisets]
+        n = len(multisets)
+        return _tensor_columns([[(tails, coeffs)] for coeffs in self.schur_action(i, g)], n, n)
 
 
 # ---------------------------------------------------------------------------
@@ -791,10 +743,17 @@ def differential_slice(d, i: int, k: int, limit: int | None = None):
     return SliceLab(d, limit).differential(i, k)
 
 
+def _lab_for(d, lab: SliceLab | None, limit: int | None = None) -> SliceLab:
+    """lab, refused unless it realizes d; a new lab for d when lab is None."""
+    if lab is not None and check_degrees(d) != lab.d:
+        raise ValueError(f"d = {check_degrees(d)} but the lab realizes {lab.d}")
+    return lab or SliceLab(d, limit)
+
+
 def verify_dsquared(d, k_max: int, limit: int | None = None, lab: SliceLab | None = None):
     """Check that adjacent slice matrices compose to zero for every slice
     degree up to k_max.  Returns (ok, witnesses)."""
-    lab = lab or SliceLab(d, limit)
+    lab = _lab_for(d, lab, limit)
     bad = []
     for i in range(2, lab.m + 1):
         for k in range(lab.d[0], k_max + 1):
@@ -807,7 +766,7 @@ def verify_dsquared(d, k_max: int, limit: int | None = None, lab: SliceLab | Non
 def equivariance_spotcheck(d, i: int, k: int, g, lab: SliceLab | None = None) -> bool:
     """Does the slice matrix commute with the permutation g of the basis of
     E, acting on all tensor factors?"""
-    lab = lab or SliceLab(d)
+    lab = _lab_for(d, lab)
     g = tuple(g)
     if sorted(g) != list(range(lab.m)):
         raise ValueError(f"{g} is not a permutation of 0..{lab.m - 1}")

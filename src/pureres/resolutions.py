@@ -147,6 +147,27 @@ def gamma(d, i: int) -> tuple[int, ...]:
 # of dim_f - 1 parts.
 DET_DIM_LIMIT = 200
 
+# Largest rows * (dim F)^2 + sum_i (d_i - d_0) that betti_H and scan_ranks
+# accept.  Each row pays one Weyl dimension over dim F, (dim F)^2 / 2
+# factors (about 65 ms at dim F = 200), and betti_H's weight2 rows hold
+# sum_i (d_i - d_0) parts.  Without it (0, 200, 201, ..., 299) took 5.5 s
+# and range(6000) 3.1 s.  At this bound the slowest accepted tables, six
+# rows at dim F = 200, take about 0.4 s (2 vCPUs, CPython 3.11).
+# det_bott_scan computes no Weyl dimension and is bounded by DET_DIM_LIMIT
+# alone.
+DET_COST_LIMIT = 250_000
+
+
+def check_det_cost(d: tuple[int, ...], dim_f: int) -> None:
+    """Refuse the determinantal table of d over DET_COST_LIMIT, before its
+    first Weyl dimension."""
+    cost = len(d) * dim_f * dim_f + sum(d) - len(d) * d[0]
+    if cost > DET_COST_LIMIT:
+        raise ResourceLimitError(
+            f"determinantal table needs rows * dim F^2 + sum(d_i - d_0) = {cost}"
+            f" > limit {DET_COST_LIMIT}"
+        )
+
 
 class DetSetup(namedtuple("DetSetup", "s dim_f dim_g lambda_det")):
     """Ambient data of the determinantal construction for a length-s sequence."""
@@ -272,6 +293,7 @@ def betti_H(d) -> BettiTable:
     to d_0."""
     d = check_degrees(d)
     setup, gammas = _det_terms(d)
+    check_det_cost(d, setup.dim_f)
     rows = []
     for i, g in enumerate(gammas):
         t = d[i] - d[0]

@@ -428,6 +428,9 @@ class TestHostileInputs:
         [
             ("scan", "--d", "0,1000000000"),
             ("betti", "--construction", "H", "--d", "0,1000000000"),
+            # dim F = 200 is allowed, but not over 101 rows
+            ("scan", "--d", ",".join(map(str, (0, *range(200, 300))))),
+            ("betti", "--construction", "H", "--d", ",".join(map(str, (0, *range(200, 300))))),
         ],
     )
     def test_huge_det_dimension_is_a_resource_limit(self, capsys, argv):

@@ -6,7 +6,7 @@ import threading
 import time
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import gcd
+from math import comb, gcd
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -360,6 +360,32 @@ class TestDifferentials:
             assert equivariance_spotcheck((0, 2, 3), 1, 2, g)
             assert equivariance_spotcheck((0, 2, 3), 2, 3, g)
 
+    @pytest.mark.parametrize("d", CORPUS)
+    def test_slice_dims(self, d):
+        # (F_i)_k is S_alpha(i)(E) (x) Sym^(k - d_i)(E), and zero below d_i
+        lab, m = SliceLab(d), len(d) - 1
+        ranks = betti_F(d).ranks
+        for i in range(m + 1):
+            for k in range(d[-1] + 3):
+                j = k - d[i]
+                expected = ranks[i] * comb(j + m - 1, m - 1) if j >= 0 else 0
+                assert lab.slice_dim(i, k) == expected, (i, k)
+
+    def test_lab_must_realize_d(self):
+        # given both, d used to be ignored and the lab's sequence checked
+        lab = SliceLab((0, 2, 3))
+        for bad in ((0, 1, 3), (0, 2, 3, 4)):
+            with pytest.raises(ValueError, match="lab realizes"):
+                verify_dsquared(bad, 5, lab=lab)
+            with pytest.raises(ValueError, match="lab realizes"):
+                equivariance_spotcheck(bad, 1, 2, (1, 0), lab=lab)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            verify_dsquared((5, 4), 5, lab=lab)
+        with pytest.raises(ValueError, match="not an integer"):
+            equivariance_spotcheck("nonsense", 1, 2, (1, 0), lab=lab)
+        assert verify_dsquared([0, 2, 3], 5, lab=lab) == (True, [])
+        assert equivariance_spotcheck((0, 2, 3), 1, 2, (1, 0), lab=lab)
+
 
 class TestChainFilling:
     """Every Schur module is filled by the standard tableau of the chain
@@ -579,12 +605,12 @@ class TestEquivarianceGenerators:
 
 class TestCachedColumnsUnchanged:
     """The checks read the lab's cached tables directly: the differential
-    columns (`mat_rank` among them), the tail tables and variable maps, the
-    merged suffix tails, the `times_var` lists and the Schur actions of
-    letter permutations.  None of them may modify a cached entry or add
-    one beyond what the tables were filled with."""
+    columns (`mat_rank` among them), the tail tables, the merged suffix
+    tails, the `times_var` lists and the Schur actions of letter
+    permutations.  None of them may modify a cached entry or add one beyond
+    what the tables were filled with."""
 
-    TABLES = ("_spaces", "_cols", "_tails", "_var_maps", "_merged", "_times", "_actions")
+    TABLES = ("_cols", "_tails", "_merged", "_times", "_actions")
 
     @staticmethod
     def fill(lab, k_max):
@@ -605,8 +631,7 @@ class TestCachedColumnsUnchanged:
         lab = SliceLab(d)
         self.fill(lab, k_max)
         assert all(getattr(lab, name) for name in self.TABLES)
-        spaces = dict(lab._spaces)  # by identity: a space holds its Schur module
-        snapshot = copy.deepcopy({name: getattr(lab, name) for name in self.TABLES[1:]})
+        snapshot = copy.deepcopy({name: getattr(lab, name) for name in self.TABLES})
         assert any([mat_rank(cols) for cols in lab._cols.values()])  # rank every slice
         assert verify_dsquared(d, k_max, lab=lab) == (True, [])
         for i in range(1, m + 1):
@@ -616,11 +641,6 @@ class TestCachedColumnsUnchanged:
                 for k in range(d[i], k_max + 1):
                     assert equivariance_spotcheck(d, i, k, g, lab=lab)
         assert {name: getattr(lab, name) for name in snapshot} == snapshot
-        assert lab._spaces == spaces
-        for (i, k), sp in spaces.items():  # spaces share the tail tables
-            if sp is not None:
-                multisets, index = lab._tails[k - d[i]]
-                assert sp.multisets is multisets and sp.tail_index is index
 
     @pytest.mark.parametrize("d", CORPUS)
     def test_cached_maps_match_fresh_lab(self, d):

@@ -9,12 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pureres import resolutions
-from pureres.bott import det_bott_scan
+from pureres.bott import det_bott_scan, scan_ranks
 from pureres.partitions import conjugate, dim_gl, dim_super, trim
 from pureres.render import betti_to_dict, to_json
 from pureres.resolutions import (
     BETTI_COST_LIMIT,
     BETTI_LENGTH_LIMIT,
+    DET_COST_LIMIT,
     DET_DIM_LIMIT,
     PROFILE_SPAN_LIMIT,
     PROFILE_STRIP_LIMIT,
@@ -430,6 +431,21 @@ class TestDetSetup:
         scan = det_bott_scan(range(6000))
         assert time.perf_counter() - t0 < 2.0
         assert len(scan.assignments) == 6000
+
+    @pytest.mark.parametrize("d", [(0,) + tuple(range(200, 300)), tuple(range(6000))])
+    def test_cost_limit(self, d):
+        # DET_DIM_LIMIT bounds dim F only: 101 rows at dim F = 200 took 5.5 s
+        # in Weyl dimensions, 6000 unit gaps 3.1 s in the weight2 rows
+        scan = det_bott_scan(d)
+        for table in (lambda: betti_H(d), lambda: scan_ranks(scan)):
+            t0 = time.perf_counter()
+            with pytest.raises(ResourceLimitError, match=f"> limit {DET_COST_LIMIT}$"):
+                table()
+            assert time.perf_counter() - t0 < 0.5
+
+    def test_cost_limit_accepts(self):
+        d = (0, DET_DIM_LIMIT)
+        assert scan_ranks(det_bott_scan(d)) == dict(enumerate(betti_H(d).ranks))
 
 
 RECORD_PARTS = (resolutions._degree_data, resolutions._f_terms, resolutions._det_terms)
