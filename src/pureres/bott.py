@@ -8,8 +8,10 @@ from __future__ import annotations
 from collections import namedtuple
 from math import comb
 
-from .partitions import check_partition, conjugate, dim_gl, trim
-from .resolutions import check_degrees, check_det_cost, det_terms
+from .partitions import check_partition, dim_gl
+from .resolutions import (
+    DET_COST_LIMIT, ResourceLimitError, check_degrees, check_det_cost, det_terms
+)
 
 
 class ScanMismatchError(Exception):
@@ -40,7 +42,7 @@ def _bott_head(alpha_q, m: int) -> tuple[int, ...]:
         raise ValueError(f"quotient weight must have length {m - 1}, got {alpha_q}")
     if any(alpha_q[i] < alpha_q[i + 1] for i in range(len(alpha_q) - 1)):
         raise ValueError(f"quotient weight must be weakly decreasing: {alpha_q}")
-    return tuple(a + m - 1 - j for j, a in enumerate(alpha_q))
+    return tuple([a + m - 1 - j for j, a in enumerate(alpha_q)])
 
 
 def _bott(head: tuple[int, ...], u: int) -> BottOutcome:
@@ -53,7 +55,8 @@ def _bott(head: tuple[int, ...], u: int) -> BottOutcome:
     if u in head:
         return BottOutcome(vanishes=True, trace=t)
     inversions = sum(1 for x in head if x < u)
-    beta = tuple(x - r for x, r in zip(sorted(t, reverse=True), range(len(head), -1, -1)))
+    # from a list: tuple() resizes a generator's tuple, bypassing the free list
+    beta = tuple([x - r for x, r in zip(sorted(t, reverse=True), range(len(head), -1, -1))])
     return BottOutcome(vanishes=False, trace=t, h_degree=inversions, weight=beta)
 
 
@@ -106,6 +109,12 @@ def det_bott_scan(d) -> DetScan:
     any disagreement.
     """
     d = check_degrees(d)
+    # a dim F-entry trace per u = 0..dim G; dim G = d_s - d_0, dim F = dim G - s + 1
+    cost = (d[-1] - d[0] + 1) * (d[-1] - d[0] - len(d) + 3)
+    if cost > DET_COST_LIMIT:
+        raise ResourceLimitError(
+            f"Bott scan needs (dim G + 1)(dim F + 1) = {cost} > limit {DET_COST_LIMIT}"
+        )
     setup, gammas = det_terms(d)
     m = setup.dim_f
     padded = setup.lambda_det + (0,) * (m - 1 - len(setup.lambda_det))

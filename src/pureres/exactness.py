@@ -39,14 +39,16 @@ and im Y is a copy of S_alpha(E) for every standard filling, of that
 dimension; so they are a basis of im Y.  A singular V raises
 DimMismatchError instead.
 
-Schur coordinates.  The same elimination gives an integer matrix N with a
-denominator D, N / D = V^-1: every vector v of im Y has coordinates
-N (v at P) / D.  The lab only asks for coordinates of vectors of im Y, so
-it never needs a full residual reduction: Y(p) is in im Y for every word
-p, and a permutation g of the letters commutes with every permutation of
-the slots, so g Y(x) = Y(g x).  The coordinates of Y(p) come from its
-values at P, which depend only on the row key of p (`scaled_image`), and
-those of g(Y(w)) are the coordinates of Y(g w); only the generator images
+Schur coordinates.  The fraction-free elimination over Z of the slice ranks
+(`_echelon`), run on the columns of V tagged with unit vectors and
+followed by back-substitution (`_inverse`), gives an integer N and D with
+N / D = V^-1: every vector v of im Y has coordinates N (v at P) / D.
+The lab only asks for coordinates of vectors of im Y, so it never needs a
+full residual reduction: Y(p) is in im Y for every word p, and a
+permutation g of the letters commutes with every permutation of the
+slots, so g Y(x) = Y(g x).  The coordinates of Y(p) come from its values
+at P, which depend only on the row key of p (`scaled_image`), and those
+of g(Y(w)) are the coordinates of Y(g w); only the generator images
 expand a basis vector, one at a time.
 
 Slices.  The slice (F_i)_k is read off two tables by index.  With P the
@@ -157,15 +159,6 @@ def _exceeds(m: int, n: int, limit: int) -> bool:
 
 # ---------------------------------------------------------------------------
 # sparse vectors and symmetrizers
-
-
-def _add_scaled(acc: Vec, vec: Vec, c: Fraction) -> None:
-    for w, x in vec.items():
-        y = acc.get(w, 0) + c * x
-        if y:
-            acc[w] = y
-        else:
-            acc.pop(w, None)
 
 
 def _ratio(x, q):
@@ -328,21 +321,37 @@ def mul_columns(a, b) -> list:
     return out
 
 
-def mat_rank(a) -> int:
-    """Exact rank over Q of a matrix given as sparse vectors ({index:
-    nonzero entry} dicts), its columns or its rows: row rank equals column
-    rank, so either orientation serves.  Entries are ints or Fractions.  A
-    vector with a Fraction entry is scaled by the lcm of its denominators,
-    which keeps the rank, and every vector is then eliminated over Z: while
-    its leading index has a pivot p it becomes p_lead v - v_lead p (both
-    divided by their gcd), and once the leading index is new it becomes
-    the pivot of that index.  To keep the numbers small a vector is
-    divided by its content (the gcd of its entries) after every reduction
-    and when it becomes a pivot, so an input vector that meets a pivot
-    skips that gcd.  Each vector is copied first, so the input is never
-    modified."""
+def _reduce(v: dict, p: dict, at) -> dict:
+    """v with its entry at `at` cleared by the pivot p over Z: p_at v - v_at
+    p, both divided by their gcd, then divided by its content (the gcd of
+    its entries).  v may be modified in place."""
+    g = gcd(p[at], v[at])
+    a_p, a_v = p[at] // g, v[at] // g
+    if a_p != 1:
+        v = {j: a_p * x for j, x in v.items()}
+    for j, x in p.items():
+        y = v.get(j, 0) - a_v * x
+        if y:
+            v[j] = y
+        else:
+            del v[j]
+    content = gcd(*v.values())
+    if content > 1:
+        v = {j: x // content for j, x in v.items()}
+    return v
+
+
+def _echelon(vectors) -> dict:
+    """{lead: pivot} of sparse vectors ({index: nonzero entry} dicts of
+    ints or Fractions), eliminated in order over Z.  A vector with a
+    Fraction entry is scaled by the lcm of its denominators, which keeps
+    its span.  While its leading (least) index has a pivot the vector is
+    reduced by it (`_reduce`), and once the leading index is new it becomes
+    that index's pivot, divided by its content; a vector that reduces to
+    zero is dropped.  Every pivot is primitive.  Each vector is copied
+    first, so the input is never modified."""
     pivots: dict = {}
-    for vec in a:
+    for vec in vectors:
         v = dict(vec)
         for x in v.values():
             if type(x) is not int:
@@ -360,21 +369,16 @@ def mat_rank(a) -> int:
                         v = {j: x // content for j, x in v.items()}
                 pivots[lead] = v
                 break
-            g = gcd(p[lead], v[lead])
-            a_p, a_v = p[lead] // g, v[lead] // g
-            if a_p != 1:
-                v = {j: a_p * x for j, x in v.items()}
-            for j, x in p.items():
-                y = v.get(j, 0) - a_v * x
-                if y:
-                    v[j] = y
-                else:
-                    del v[j]
-            content = gcd(*v.values())
-            if content > 1:
-                v = {j: x // content for j, x in v.items()}
+            v = _reduce(v, p, lead)
             primitive = True
-    return len(pivots)
+    return pivots
+
+
+def mat_rank(a) -> int:
+    """Exact rank over Q of a matrix given as sparse vectors ({index:
+    nonzero entry} dicts), its columns or its rows: row rank equals column
+    rank, so either orientation serves.  Entries are ints or Fractions."""
+    return len(_echelon(a))
 
 
 # ---------------------------------------------------------------------------
@@ -409,11 +413,7 @@ class SchurRealization(
         (`YoungSymmetrizer.row_key`): N times its values at the pivot words,
         so integers stay integers.  Row rearrangements of p have the same
         image."""
-        acc: dict = {}
-        for j, x in self.at_pivots.get(key, {}).items():
-            for r, y in self.solve[j].items():
-                acc[r] = acc.get(r, 0) + x * y
-        return acc
+        return mul_columns(self.solve, [self.at_pivots.get(key, {})])[0]
 
 
 def _ssyt_words(lam, m: int, boxes) -> list:
@@ -438,33 +438,27 @@ def _ssyt_words(lam, m: int, boxes) -> list:
     return words
 
 
-def _inverse(columns: list) -> list | None:
-    """Sparse columns of V^-1, V the square matrix with the sparse columns
-    `columns` ({row: entry}), or None if V is singular.  The columns are
-    echelonized in order, each reduced by the earlier ones at their pivot
-    rows; one that reduces to zero makes V singular.  Column j of V^-1 is
-    then the coordinates of the unit vector at row j, which the same
-    reduction finds: every row is a pivot row, so nothing is left over."""
-    echelon = []  # (pivot row, reduced column, it in terms of the input columns)
-
-    def reduce(v: dict) -> tuple[dict, dict]:
-        combo: dict = {}
-        for p, pv, pc in echelon:
-            x = v.get(p)
-            if x:
-                f = _ratio(x, pv[p])
-                _add_scaled(v, pv, -f)
-                _add_scaled(combo, pc, f)
-        return v, combo
-
-    for s, col in enumerate(columns):
-        v, combo = reduce(dict(col))
-        if not v:
-            return None
-        combo = {r: -x for r, x in combo.items()}
-        combo[s] = 1
-        echelon.append((s if s in v else min(v), v, combo))
-    return [reduce({j: 1})[1] for j in range(len(columns))]
+def _inverse(columns: list) -> tuple[list, int] | None:
+    """(N, D), N sparse integer columns and D the least common denominator
+    of V^-1 = N / D, for the square matrix V with the sparse integer
+    columns `columns`; None if V is singular.  Column s is tagged with a
+    unit vector at index n + s, past every row, and the tagged columns are
+    echelonized.  A pivot leading at a tag is a relation t among the columns
+    of V, which is then singular.  Otherwise back-substitution from the last
+    pivot up leaves pivot l as c e_l plus tags t with V t = c e_l: column l
+    of V^-1 is t / c, and D = lcm |c| since the pivots are primitive."""
+    n = len(columns)
+    pivots = _echelon([{**col, n + s: 1} for s, col in enumerate(columns)])
+    if any(lead >= n for lead in pivots):
+        return None
+    for lead in range(n - 1, -1, -1):
+        for row in [row for row in pivots[lead] if lead < row < n]:
+            pivots[lead] = _reduce(pivots[lead], pivots[row], row)
+    denom = lcm(*[pivots[lead][lead] for lead in range(n)])
+    return [
+        {s - n: x * (denom // p[lead]) for s, x in p.items() if s >= n}
+        for lead, p in sorted(pivots.items())
+    ], denom
 
 
 def realize_schur(lam, m: int, limit: int | None = None, boxes=None) -> SchurRealization:
@@ -472,10 +466,11 @@ def realize_schur(lam, m: int, limit: int | None = None, boxes=None) -> SchurRea
     Y(w) of the words w of the semistandard tableaux of lam, last tableau
     first, which are exactly dim S_lam(E) words and also the pivot words P.
     Nothing is expanded: the value of Y(w) at P[j] is read off the pivot
-    table, and the dim x dim matrix V of these values is inverted exactly.
-    A nonsingular V makes the images independent, hence a basis; a
-    singular one raises DimMismatchError.  On every shape measured V is
-    lower triangular, so the echelon keeps its columns unreduced."""
+    table, and the dim x dim matrix V of these values is inverted exactly
+    over Z: its columns, tagged with unit vectors, are echelonized and
+    back-substituted (`_inverse`), giving N / D = V^-1 with N integral.  A
+    nonsingular V makes the images independent, hence a basis; a singular
+    one raises DimMismatchError."""
     lam = trim(lam)
     if limit is None:
         limit = tensor_limit()
@@ -500,11 +495,9 @@ def realize_schur(lam, m: int, limit: int | None = None, boxes=None) -> SchurRea
     inverse = _inverse([at_pivots.get(sym.row_key(w), {}) for w in pivots])
     if inverse is None:
         raise DimMismatchError(f"the {target} tableau images of {lam} over dim {m} are dependent")
-    denom = lcm(*[x.denominator for col in inverse for x in col.values()])
     return SchurRealization(
-        lam=lam, m=m, symmetrizer=sym, pivots=pivots,
-        solve=[{r: int(x * denom) for r, x in col.items()} for col in inverse],
-        denom=denom, at_pivots=at_pivots,
+        lam=lam, m=m, symmetrizer=sym, pivots=pivots, solve=inverse[0],
+        denom=inverse[1], at_pivots=at_pivots,
     )
 
 

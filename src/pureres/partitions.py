@@ -95,43 +95,27 @@ def _rows(lam, m: int, cap: int) -> tuple[tuple[int, ...], list[int], list[int]]
     return lam, room, [x - lam[-1] for x in lam]
 
 
-def _strips(
-    lam, e: int | None, m: int, cap: int, weyl: bool = True
-) -> list[tuple[tuple[int, ...], int, int | None]]:
-    """(shifted parts l_i = mu_i + m - i, strip size |mu/lam|, Weyl numerator
-    prod_{a<b} (l_a - l_b)) of every mu with at most m rows and mu_1 <= cap
-    such that mu/lam is a horizontal strip of size e, or of any size when e
-    is None, in lexicographic descending order of mu.  lam is a partition
-    with at most m nonzero parts, e >= 0 or None, cap >= lam_1.
+def _strips(lam, e: int, m: int, cap: int) -> list[tuple[int, ...]]:
+    """Every mu with at most m rows and mu_1 <= cap such that mu/lam is a
+    horizontal strip of size e, in lexicographic descending order.  lam is
+    a partition with at most m nonzero parts, e >= 0, cap >= lam_1.
 
     Rows are filled top to bottom, one row for all prefixes at a time.  Row
-    i takes at most room[i] boxes (see _rows), and for a given e each row
-    takes at least what the rows below it cannot hold, so every prefix kept
-    completes to a strip.  The numerator grows by one row's factors
-    prod_{a<i} (l_a - l_i) at a time; with weyl false it is not computed and
-    every numerator is None.
+    i takes at most room[i] boxes (see _rows), and at least what the rows
+    below it cannot hold, so every prefix kept completes to a strip.
     """
     lam, room, below = _rows(lam, m, cap)
-    exact = e is not None
-    if not exact:
-        e = sum(room)  # every size fits, so no row has a lower bound
-    elif e > sum(room):
+    if e > sum(room):
         return []
-    level = [((), e, 1 if weyl else None)]  # (shifted parts, boxes left, numerator)
+    level = [((), e)]  # (parts, boxes left)
     for i in range(m):
-        base, most, below_i = lam[i] + m - i, room[i], below[i]
-        grown = []
-        for shifted, left, num in level:
-            fewest = left - below_i if exact and left > below_i else 0
-            for x in range(left if left < most else most, fewest - 1, -1):
-                l_i = base + x
-                f = num
-                if weyl:
-                    for l_a in shifted:
-                        f *= l_a - l_i
-                grown.append((shifted + (l_i,), left - x, f))
-        level = grown
-    return [(shifted, e - left, num) for shifted, left, num in level]
+        most, below_i = room[i], below[i]
+        level = [
+            (mu + (lam[i] + x,), left - x)
+            for mu, left in level
+            for x in range(left if left < most else most, max(left - below_i, 0) - 1, -1)
+        ]
+    return [trim(mu) for mu, _ in level]
 
 
 def pieri_expand(lam, e: int, max_rows: int, cap: int | None = None) -> list[tuple[int, ...]]:
@@ -150,10 +134,7 @@ def pieri_expand(lam, e: int, max_rows: int, cap: int | None = None) -> list[tup
         top = cap
     if e < 0 or top < part(lam, 0):
         return []
-    return [
-        trim(tuple(l - max_rows + i for i, l in enumerate(shifted)))
-        for shifted, _, _ in _strips(lam, e, max_rows, top, weyl=False)
-    ]
+    return _strips(lam, e, max_rows, top)
 
 
 def _weyl_quotient(num: int, m: int) -> int:
@@ -205,13 +186,9 @@ def pieri_dim(lam, e: int, m: int, cap: int) -> int:
 
 
 def pieri_dims(lam, m: int, cap: int) -> list[int]:
-    """[pieri_dim(lam, e, m, cap) for e = 0, ..., cap - lam_m], every strip
-    size that fits under the cap, from one walk over the strips of all
-    sizes; m >= 1."""
-    sums = [0] * (cap - part(lam, m - 1) + 1)
-    for _, size, num in _strips(lam, None, m, cap):
-        sums[size] += num
-    return [_weyl_quotient(num, m) for num in sums]
+    """pieri_dim(lam, e, m, cap) for e = 0, ..., cap - lam_m, every strip
+    size that fits under the cap; m >= 1."""
+    return [pieri_dim(lam, e, m, cap) for e in range(cap - part(lam, m - 1) + 1)]
 
 
 def dim_gl(lam, m: int) -> int:

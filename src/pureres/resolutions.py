@@ -153,8 +153,9 @@ DET_DIM_LIMIT = 200
 # sum_i (d_i - d_0) parts.  Without it (0, 200, 201, ..., 299) took 5.5 s
 # and range(6000) 3.1 s.  At this bound the slowest accepted tables, six
 # rows at dim F = 200, take about 0.4 s (2 vCPUs, CPython 3.11).
-# det_bott_scan computes no Weyl dimension and is bounded by DET_DIM_LIMIT
-# alone.
+# det_bott_scan computes no Weyl dimension but builds a trace of dim F
+# entries per u = 0..dim G, so it refuses (dim G + 1)(dim F + 1) over the
+# same limit; its slowest accepted scan, range(125000), takes about 0.8 s.
 DET_COST_LIMIT = 250_000
 
 

@@ -2,10 +2,10 @@
 enumeration for (skew) Schur module dimensions, kept deliberately separate
 from the library's formulas, horizontal strips by search over a box, the
 strip-filter form of the Hilbert function and the tableau form of super
-dimensions, dense Gauss-Jordan rank and dense matrix helpers, an
-echelonized subspace basis with coordinates, a word-level realization of
-the slice complex for the exactness lab, and Bott's algorithm with every
-pair of entries compared."""
+dimensions, dense Gauss-Jordan rank, a Fraction Gauss-Jordan inverse and
+dense matrix helpers, an echelonized subspace basis with coordinates, a
+word-level realization of the slice complex for the exactness lab, and
+Bott's algorithm with every pair of entries compared."""
 
 from fractions import Fraction
 from itertools import permutations, product
@@ -208,6 +208,36 @@ def add_scaled(acc: dict, vec: dict, c) -> None:
             acc[w] = y
         else:
             acc.pop(w, None)
+
+
+def fraction_inverse(columns: list):
+    """Sparse columns of V^-1 over Fraction, V the square matrix with the
+    sparse columns `columns` ({row: entry}), or None if V is singular.  The
+    columns are echelonized in order, each reduced by the earlier ones at
+    their pivot rows; one that reduces to zero makes V singular.  Column j
+    of V^-1 is then the coordinates of the unit vector at row j, which the
+    same reduction finds: every row is a pivot row, so nothing is left
+    over."""
+    echelon = []  # (pivot row, reduced column, it in terms of the input columns)
+
+    def reduce(v: dict) -> tuple[dict, dict]:
+        combo: dict = {}
+        for p, pv, pc in echelon:
+            x = v.get(p)
+            if x:
+                f = Fraction(x, 1) / pv[p]
+                add_scaled(v, pv, -f)
+                add_scaled(combo, pc, f)
+        return v, combo
+
+    for s, col in enumerate(columns):
+        v, combo = reduce(dict(col))
+        if not v:
+            return None
+        combo = {r: -x for r, x in combo.items()}
+        combo[s] = 1
+        echelon.append((s if s in v else min(v), v, combo))
+    return [reduce({j: 1})[1] for j in range(len(columns))]
 
 
 class SubspaceBasis:

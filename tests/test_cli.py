@@ -431,6 +431,8 @@ class TestHostileInputs:
             # dim F = 200 is allowed, but not over 101 rows
             ("scan", "--d", ",".join(map(str, (0, *range(200, 300))))),
             ("betti", "--construction", "H", "--d", ",".join(map(str, (0, *range(200, 300))))),
+            # 10,000 rows at dim F = 200: refused before the scan builds its traces
+            ("scan", "--d", ",".join(map(str, (0, *range(200, 10200))))),
         ],
     )
     def test_huge_det_dimension_is_a_resource_limit(self, capsys, argv):

@@ -6,7 +6,7 @@ import threading
 import time
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import comb, gcd
+from math import comb, gcd, lcm
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -35,6 +35,7 @@ from oracles import (
     SubspaceBasis,
     WordSlices,
     dense_rank,
+    fraction_inverse,
     letter_action,
     mat_is_zero,
     mat_mul,
@@ -257,6 +258,63 @@ class TestSparseRank:
         rows = [p, v] + rest
         check_rank(rows)
         check_rank([list(col) for col in zip(*rows)])
+
+
+@st.composite
+def square_int_matrices(draw):
+    """Square integer matrices up to 8 x 8 (lists of rows): lower
+    triangular, as every V that realize_schur builds, with a zero on the
+    diagonal now and then; sparse or dense with arbitrary fill; or a product
+    through a narrower middle, which is singular."""
+    n = draw(st.integers(0, 8))
+    kind = draw(st.sampled_from(["triangular", "sparse", "dense", "product"]))
+    if kind == "product":
+        inner = draw(st.integers(0, max(n - 1, 0)))
+        b, c = draw(matrix(INTS, n, inner)), draw(matrix(INTS, inner, n))
+        return [[sum(b[r][q] * c[q][j] for q in range(inner)) for j in range(n)] for r in range(n)]
+    nonzero = draw(st.sampled_from([INTS, st.one_of(INTS, BIG_INTS)]))
+    entry = nonzero if kind == "dense" else st.one_of(st.just(0), nonzero)
+    a = draw(matrix(entry, n, n))
+    if kind == "triangular":
+        for r in range(n):
+            a[r][r] = draw(nonzero)
+            a[r][r + 1 :] = [0] * (n - r - 1)
+        if n and draw(st.integers(0, 3)) == 0:
+            r = draw(st.integers(0, n - 1))
+            a[r][r] = 0
+    return a
+
+
+class TestInverse:
+    """_inverse (N, D) from the tagged integer echelon against the Fraction
+    Gauss-Jordan inverse of the oracles."""
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(square_int_matrices())
+    @example([])
+    @example([[0]])
+    @example([[2, 0], [3, 4]])
+    @example([[1, 2], [2, 4]])
+    @example([[0, 1], [1, 0]])
+    def test_matches_fraction_inverse(self, a):
+        n = len(a)
+        cols = sparse_columns(a)
+        before = copy.deepcopy(cols)
+        got, ref = exactness._inverse(cols), fraction_inverse(cols)
+        assert cols == before
+        assert (got is None) == (ref is None) == (dense_rank(a) < n)
+        if got is None:
+            return
+        solve, denom = got
+        assert exactness.mul_columns(solve, cols) == [{j: denom} for j in range(n)]
+        assert denom == lcm(*[Fraction(x).denominator for col in ref for x in col.values()])
+        assert [{r: Fraction(x, denom) for r, x in col.items()} for col in solve] == ref
+
+    def test_dimension_zero(self):
+        assert exactness._inverse([]) == ([], 1)
+        # more parts than letters: no tableau, no pivot
+        r = realize_schur((1, 1, 1, 1), 3)
+        assert (r.dim, r.solve, r.denom) == (0, [], 1)
 
 
 class TestRealizeSchur:

@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -446,6 +447,23 @@ class TestDetSetup:
     def test_cost_limit_accepts(self):
         d = (0, DET_DIM_LIMIT)
         assert scan_ranks(det_bott_scan(d)) == dict(enumerate(betti_H(d).ranks))
+
+    def test_scan_cost_limit_before_the_traces(self):
+        # a dim F-entry trace per u = 0..dim G: (0, 200, ..., 10199) built
+        # 10,200 traces of 200 entries (0.6 s, 38 MB traced) before scan_ranks
+        # could refuse them
+        d = (0,) + tuple(range(200, 10200))
+        tracemalloc.start()
+        t0 = time.perf_counter()
+        try:
+            with pytest.raises(ResourceLimitError, match=f"> limit {DET_COST_LIMIT}$"):
+                det_bott_scan(d)
+            elapsed = time.perf_counter() - t0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.1
+        assert peak < 10**6
 
 
 RECORD_PARTS = (resolutions._degree_data, resolutions._f_terms, resolutions._det_terms)
