@@ -9,9 +9,7 @@ from collections import namedtuple
 from math import comb
 
 from .partitions import check_partition, dim_gl
-from .resolutions import (
-    DET_COST_LIMIT, ResourceLimitError, check_degrees, check_det_cost, det_terms
-)
+from .resolutions import DET_COST_LIMIT, check_degrees, check_det_cost, check_limit, det_terms
 
 
 class ScanMismatchError(Exception):
@@ -111,10 +109,7 @@ def det_bott_scan(d) -> DetScan:
     d = check_degrees(d)
     # a dim F-entry trace per u = 0..dim G; dim G = d_s - d_0, dim F = dim G - s + 1
     cost = (d[-1] - d[0] + 1) * (d[-1] - d[0] - len(d) + 3)
-    if cost > DET_COST_LIMIT:
-        raise ResourceLimitError(
-            f"Bott scan needs (dim G + 1)(dim F + 1) = {cost} > limit {DET_COST_LIMIT}"
-        )
+    check_limit("Bott scan (dim G + 1)(dim F + 1)", cost, DET_COST_LIMIT)
     setup, gammas = det_terms(d)
     m = setup.dim_f
     padded = setup.lambda_det + (0,) * (m - 1 - len(setup.lambda_det))

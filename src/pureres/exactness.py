@@ -476,7 +476,7 @@ def realize_schur(lam, m: int, limit: int | None = None, boxes=None) -> SchurRea
         limit = tensor_limit()
     t = sum(lam)
     if _exceeds(m, t, limit):
-        raise DimLimitError(f"ambient dimension {max(m, 2)}^{t} exceeds limit {limit}")
+        raise DimLimitError(f"ambient dimension {max(m, 2)}^{t} > limit {limit}")
     sym = YoungSymmetrizer(lam, boxes)
     pivots = _ssyt_words(lam, m, sym.boxes)[::-1]
     target = dim_gl(lam, m)

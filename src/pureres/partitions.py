@@ -31,10 +31,6 @@ def check_partition(parts) -> tuple[int, ...]:
     return trim(parts)
 
 
-def size(p) -> int:
-    return sum(p)
-
-
 def part(p, i: int) -> int:
     """i-th part (0-based), 0 beyond the end."""
     return p[i] if i < len(p) else 0
@@ -45,7 +41,7 @@ def conjugate(p) -> tuple[int, ...]:
     p = trim(p)
     if not p:
         return ()
-    return tuple(sum(1 for x in p if x >= j + 1) for j in range(p[0]))
+    return tuple([sum(1 for x in p if x >= j + 1) for j in range(p[0])])
 
 
 def contains(outer, inner) -> bool:
@@ -311,4 +307,4 @@ def complement_in_rectangle(lam, width: int, height: int) -> tuple[int, ...]:
     if len(lam) > height or (lam and lam[0] > width):
         raise ValueError(f"{lam} does not fit in {width}x{height} rectangle")
     padded = lam + (0,) * (height - len(lam))
-    return trim(width - padded[height - 1 - i] for i in range(height))
+    return trim([width - padded[height - 1 - i] for i in range(height)])

@@ -11,6 +11,11 @@ What follows from d is derived once per sequence into three parts, each
 an LRU of RECORD_SIZE entries, keyed on the checked d and holding tuples
 only: `degree_data`, `_f_terms` and `det_terms`.  A part that raises is
 not stored, and every entry point checks its own input and limits.
+
+Every resource bound goes through `check_limit`, whose ResourceLimitError
+reads "<what> = <cost> > limit <limit>".  Tuples are built from lists:
+tuple() of a generator guesses a length and resizes, which moves a dead
+tuple onto another size's free list.
 """
 
 from __future__ import annotations
@@ -51,6 +56,12 @@ class ResourceLimitError(Exception):
     """An input would need more time or memory than a fixed budget allows."""
 
 
+def check_limit(what: str, cost: int, limit: int) -> None:
+    """Refuse an input whose cost, named by `what`, is over its limit."""
+    if cost > limit:
+        raise ResourceLimitError(f"{what} = {cost} > limit {limit}")
+
+
 class AmbiguousSocleError(Exception):
     """The top-degree strip set of M(d) is not a singleton."""
 
@@ -64,7 +75,7 @@ def check_degrees(d) -> tuple[int, ...]:
     for x in d:
         if not isinstance(x, int):
             raise ValueError(f"degree {x!r} in {d} is not an integer")
-    out = tuple(map(int, d))
+    out = tuple([int(x) for x in d])
     if any(a >= b for a, b in zip(out, out[1:])):
         raise ValueError(f"degree sequence must be strictly increasing: {d}")
     return out
@@ -77,9 +88,9 @@ DegreeData = namedtuple("DegreeData", "d e m base top")
 
 @lru_cache(maxsize=RECORD_SIZE)
 def _degree_data(d: tuple[int, ...]) -> DegreeData:
-    e = (d[0],) + tuple(d[i] - d[i - 1] for i in range(1, len(d)))
+    e = tuple([b - a for a, b in zip((0,) + d, d)])
     # lambda_i = e_0 + sum_{j>i} (e_j - 1), i = 1..m, from the bottom row up
-    lam = tuple(accumulate(reversed(e[2:]), lambda a, x: a + x - 1, initial=e[0]))[::-1]
+    lam = tuple(list(accumulate(reversed(e[2:]), lambda a, x: a + x - 1, initial=e[0]))[::-1])
     return DegreeData(d, e, len(d) - 1, lam, lam[0] + e[1] - 1)
 
 
@@ -163,11 +174,7 @@ def check_det_cost(d: tuple[int, ...], dim_f: int) -> None:
     """Refuse the determinantal table of d over DET_COST_LIMIT, before its
     first Weyl dimension."""
     cost = len(d) * dim_f * dim_f + sum(d) - len(d) * d[0]
-    if cost > DET_COST_LIMIT:
-        raise ResourceLimitError(
-            f"determinantal table needs rows * dim F^2 + sum(d_i - d_0) = {cost}"
-            f" > limit {DET_COST_LIMIT}"
-        )
+    check_limit("determinantal table rows * dim F^2 + sum(d_i - d_0)", cost, DET_COST_LIMIT)
 
 
 class DetSetup(namedtuple("DetSetup", "s dim_f dim_g lambda_det")):
@@ -181,12 +188,9 @@ def _det_terms(d: tuple[int, ...]) -> tuple[DetSetup, tuple[tuple[int, ...], ...
     e = _degree_data(d).e
     s = len(d) - 1
     dim_f = 1 + sum(e[i] - 1 for i in range(1, s + 1))
-    if dim_f > DET_DIM_LIMIT:
-        raise ResourceLimitError(
-            f"determinantal construction needs dim F = {dim_f} > limit {DET_DIM_LIMIT}"
-        )
+    check_limit("determinantal construction dim F", dim_f, DET_DIM_LIMIT)
     gaps = _gaps(e)
-    gammas = tuple(_gamma(e, i, gaps) for i in range(s + 1))
+    gammas = tuple([_gamma(e, i, gaps) for i in range(s + 1)])
     return DetSetup(s=s, dim_f=dim_f, dim_g=dim_f + s - 1, lambda_det=gammas[0]), gammas
 
 
@@ -232,11 +236,11 @@ class BettiTable(namedtuple("BettiTable", "kind d rows params truncated_at")):
 
     @property
     def ranks(self) -> tuple[int, ...]:
-        return tuple(r.rank for r in self.rows)
+        return tuple([r.rank for r in self.rows])
 
     @property
     def twists(self) -> tuple[int, ...]:
-        return tuple(r.twist for r in self.rows)
+        return tuple([r.twist for r in self.rows])
 
 
 # Largest m (one less than the length of d) that betti_F accepts, and with
@@ -262,17 +266,11 @@ def _f_terms(d: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], tuple[int
     ranks dim S_alpha(E); refused over BETTI_LENGTH_LIMIT or
     BETTI_COST_LIMIT before any Weyl dimension is paid for."""
     m = len(d) - 1
-    if m > BETTI_LENGTH_LIMIT:
-        raise ResourceLimitError(
-            f"degree sequence has m = {m} > limit {BETTI_LENGTH_LIMIT}"
-        )
+    check_limit("degree sequence m", m, BETTI_LENGTH_LIMIT)
     cost = m * m * (d[-1] - d[0]).bit_length()
-    if cost > BETTI_COST_LIMIT:
-        raise ResourceLimitError(
-            f"degree sequence has m^2 * bitlen(d_m - d_0) = {cost} > limit {BETTI_COST_LIMIT}"
-        )
-    weights = tuple(alpha(d, i) for i in range(m + 1))
-    return weights, tuple(dim_gl(w, m) for w in weights)
+    check_limit("degree sequence m^2 * bitlen(d_m - d_0)", cost, BETTI_COST_LIMIT)
+    weights = tuple([alpha(d, i) for i in range(m + 1)])
+    return weights, tuple([dim_gl(w, m) for w in weights])
 
 
 def betti_F(d) -> BettiTable:
@@ -282,8 +280,8 @@ def betti_F(d) -> BettiTable:
     d = check_degrees(d)
     weights, ranks = _f_terms(d)
     rows = tuple(
-        BettiRow(i=i, twist=d[i], weight=trim(w), rank=rank)
-        for i, (w, rank) in enumerate(zip(weights, ranks))
+        [BettiRow(i=i, twist=d[i], weight=trim(w), rank=rank)
+         for i, (w, rank) in enumerate(zip(weights, ranks))]
     )
     return BettiTable(kind="F", d=d, rows=rows, params={"m": len(d) - 1})
 
@@ -331,7 +329,7 @@ class SuperDegreeData:
 
     def degree_prefix(self, n: int) -> tuple[int, ...]:
         """(d_0, ..., d_n)."""
-        return tuple(accumulate([self.e(i) for i in range(1, n + 1)], initial=0))
+        return tuple(list(accumulate([self.e(i) for i in range(1, n + 1)], initial=0)))
 
     def alpha(self, i: int) -> tuple[int, ...]:
         """lam_j + e_{j+1} for j < i and lam_j after: lam_0 + e1, then
@@ -372,8 +370,7 @@ def _truncated(data: SuperDegreeData, N: int) -> tuple[tuple[int, ...], list[tup
     truncated at N; refused past BETTI_LENGTH_LIMIT rows."""
     if N < 1:
         raise ValueError("truncation must be >= 1")
-    if N > BETTI_LENGTH_LIMIT:
-        raise ResourceLimitError(f"super table truncated at N = {N} > limit {BETTI_LENGTH_LIMIT}")
+    check_limit("super table truncation N", N, BETTI_LENGTH_LIMIT)
     return data.degree_prefix(N), [data.alpha(i) for i in range(N + 1)]
 
 
@@ -393,19 +390,12 @@ def _check_super_cost(*factors) -> None:
             top = lam[0] if lam else 0
             entry_bits = min(top + ell, n) * n_bits
             weyl_bits = m * m * (top + m).bit_length()
-            if entry_bits > SUPER_ENTRY_BITS or weyl_bits > BETTI_COST_LIMIT:
-                raise ResourceLimitError(
-                    f"dim_super of {lam} over ({m}, {n}) needs entries of {entry_bits} bits"
-                    f" (limit {SUPER_ENTRY_BITS}) and Weyl products of {weyl_bits}"
-                    f" (limit {BETTI_COST_LIMIT})"
-                )
+            check_limit("dim_super entry bits", entry_bits, SUPER_ENTRY_BITS)
+            check_limit("dim_super Weyl bits m^2 * bitlen(lam_1 + m)", weyl_bits, BETTI_COST_LIMIT)
             det = ell**3 * (1 + ell * entry_bits // 64)
             weyl = m * m * (1 + weyl_bits // 128)
             cost += prod([min(x, n) + 1 for x in lam[:m]]) * (det + weyl)
-    if cost > SUPER_COST_LIMIT:
-        raise ResourceLimitError(
-            f"super table needs an estimated {cost} word operations > limit {SUPER_COST_LIMIT}"
-        )
+    check_limit("super table estimated word operations", cost, SUPER_COST_LIMIT)
 
 
 def betti_F_super(lam, e1: int, m: int, n: int, N: int | None = None) -> BettiTable:
@@ -471,7 +461,7 @@ def herzog_kuhl_primitive(d) -> tuple[int, ...]:
     scale = lcm(*dens)
     ints = [scale // p for p in dens]
     g = gcd(*ints)
-    return tuple(x // g for x in ints)
+    return tuple([x // g for x in ints])
 
 
 def multiple_of_primitive(table: BettiTable) -> int:
@@ -529,7 +519,7 @@ def _strip_weights(d, k: int) -> list[tuple[int, ...]]:
     if k < d0:
         return []
     return [
-        trim(x + d0 for x in mu + (0,) * (m - len(mu)))
+        trim([x + d0 for x in mu + (0,) * (m - len(mu))])
         for mu in pieri_expand([x - d0 for x in r.base], k - d0, m, cap=r.top - d0)
     ]
 
@@ -574,16 +564,8 @@ def module_profile(d) -> ModuleProfile:
     number (Cohen-Macaulay type)."""
     r = degree_data(d)
     d, e, m, top = r.d, r.e, r.m, r.top
-    if top - d[0] > PROFILE_SPAN_LIMIT:
-        raise ResourceLimitError(
-            f"module profile spans degrees {d[0]}..{top}, more than {PROFILE_SPAN_LIMIT}"
-        )
-    strips = prod(e[1:])
-    if strips * m * m > PROFILE_STRIP_LIMIT:
-        raise ResourceLimitError(
-            f"module profile needs {strips} strips over {m} rows:"
-            f" {strips * m * m} > limit {PROFILE_STRIP_LIMIT} on strips x m^2"
-        )
+    check_limit("module profile span top - d_0", top - d[0], PROFILE_SPAN_LIMIT)
+    check_limit("module profile strips * m^2", prod(e[1:]) * m * m, PROFILE_STRIP_LIMIT)
     # hilbert_M_strips for every k at once: one walk over the surviving
     # strips of all sizes, 0..top - d_0, with the same cap mu_1 <= top
     hf = dict(enumerate(pieri_dims(r.base, m, top), start=d[0]))
@@ -591,7 +573,7 @@ def module_profile(d) -> ModuleProfile:
     if len(top_strips) != 1:
         raise AmbiguousSocleError(f"top degree {top} carries strips {top_strips}")
     socle = top_strips[0]
-    expected = trim(a - 1 for a in alpha(d, m))  # one column of height m removed
+    expected = trim([a - 1 for a in alpha(d, m)])  # one column of height m removed
     if socle != expected:
         raise AmbiguousSocleError(
             f"socle strip {socle} does not match predicted {expected}"
@@ -635,8 +617,8 @@ def duality_check(d) -> DualityReport:
     width = r.top + 1 - d[0]
     bad = []
     for i in range(m + 1):
-        norm = tuple(a - d[0] for a in weights[i])
-        norm_dual = trim(a - d[0] for a in weights[m - i])
+        norm = tuple([a - d[0] for a in weights[i]])
+        norm_dual = trim([a - d[0] for a in weights[m - i]])
         comp = complement_in_rectangle(norm, width, m)
         if comp != norm_dual:
             bad.append((i, norm, comp, norm_dual))

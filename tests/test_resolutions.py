@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from pureres import resolutions
 from pureres.bott import det_bott_scan, scan_ranks
+from pureres.exactness import DimLimitError, SliceLab, realize_schur
 from pureres.partitions import conjugate, dim_gl, dim_super, trim
 from pureres.render import betti_to_dict, to_json
 from pureres.resolutions import (
@@ -562,3 +563,110 @@ class TestRecord:
         for _ in range(2):
             with pytest.raises(ResourceLimitError):
                 det_setup(wide)
+
+
+def one_gap(rows: int, dim_f: int, at: int) -> tuple[int, ...]:
+    """rows degrees from 0 with unit gaps, but a gap of dim F before index at."""
+    return tuple(range(at)) + tuple(range(at + dim_f - 1, rows + dim_f - 1))
+
+
+# every resource bound: (refused, accepted, error class).  The refused input
+# is the smallest step over the bound along one parameter, and the accepted
+# one is the input at the bound or the last one under it.
+BOUNDS = {
+    # m = 65 and 64
+    "f_length": (
+        lambda: betti_F(range(66)),
+        lambda: betti_F(range(65)),
+        ResourceLimitError,
+    ),
+    # m^2 * bitlen(d_m - d_0) = 64 * 2049 and 64 * 2048
+    "f_bits": (
+        lambda: betti_F(tuple(range(8)) + (2**2048,)),
+        lambda: betti_F(tuple(range(8)) + (2**2047,)),
+        ResourceLimitError,
+    ),
+    # dim F = 201 and 200
+    "det_dim": (
+        lambda: det_setup((0, 201)),
+        lambda: det_setup((0, 200)),
+        ResourceLimitError,
+    ),
+    # rows * dim F^2 + sum(d_i - d_0) = 250,001 and 250,000
+    "det_cost": (
+        lambda: betti_H(one_gap(254, 29, 102)),
+        lambda: betti_H(one_gap(44, 75, 23)),
+        ResourceLimitError,
+    ),
+    # (dim G + 1)(dim F + 1) = 2809 * 89 = 250,001 and 1250 * 200 = 250,000
+    "scan_cost": (
+        lambda: det_bott_scan(one_gap(2722, 88, 1)),
+        lambda: det_bott_scan(one_gap(1052, 199, 1)),
+        ResourceLimitError,
+    ),
+    "super_rows": (
+        lambda: betti_F_super((2, 1), 2, 2, 1, N=65),
+        lambda: betti_F_super((2, 1), 2, 2, 1, N=64),
+        ResourceLimitError,
+    ),
+    # entry bits min(lam_1 + len(lam), n) * bitlen(n) = 257 * 16 and 256 * 16
+    "super_entry_bits": (
+        lambda: betti_F_super((1,), 255, 0, 2**15, N=1),
+        lambda: betti_F_super((1,), 254, 0, 2**15, N=1),
+        ResourceLimitError,
+    ),
+    # Weyl bits m^2 * bitlen(lam_1 + m) = 32^2 * 129 and 32^2 * 128
+    "super_weyl_bits": (
+        lambda: betti_F_super((1,), 2**128 - 33, 32, 0, N=1),
+        lambda: betti_F_super((1,), 2**128 - 34, 32, 0, N=1),
+        ResourceLimitError,
+    ),
+    # about 4.003 and 2.7 million estimated word operations
+    "super_total": (
+        lambda: betti_F_super((4,) * 5, 2, 4, 8, N=6),
+        lambda: betti_F_super((4,) * 5, 2, 4, 8, N=5),
+        ResourceLimitError,
+    ),
+    # top - d_0 = 101 and 100
+    "profile_span": (
+        lambda: module_profile((0, 1, 103)),
+        lambda: module_profile((0, 1, 102)),
+        ResourceLimitError,
+    ),
+    # strips * m^2 = 20250 * 10^2 and 20000 * 10^2
+    "profile_strips": (
+        lambda: module_profile(degrees((0, 2, 3, 3, 3, 3, 5, 5, 5, 1, 1))),
+        lambda: module_profile(degrees((0, 2, 2, 2, 2, 2, 5, 5, 5, 5, 1))),
+        ResourceLimitError,
+    ),
+    # ambient dimension 3^6 = 729
+    "realize_schur": (
+        lambda: realize_schur((3, 2, 1), 3, limit=728),
+        lambda: realize_schur((3, 2, 1), 3, limit=729),
+        DimLimitError,
+    ),
+    # slice degree 4 of d = (0, 1, 3) lives in E^(x)5, dim E = 2
+    "lab_guard": (
+        lambda: SliceLab((0, 1, 3), limit=31).guard(4),
+        lambda: SliceLab((0, 1, 3), limit=32).guard(4),
+        DimLimitError,
+    ),
+}
+
+
+class TestBounds:
+    """Every bound refuses quickly with one message shape, "<what> = <cost>
+    > limit <L>", and accepts the input at it."""
+
+    @pytest.mark.parametrize("bound", BOUNDS)
+    def test_refused(self, bound):
+        refused, _, error = BOUNDS[bound]
+        t0 = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match=r"> limit \d+$") as info:
+            refused()
+        assert time.perf_counter() - t0 < 0.1
+        assert type(info.value) is error
+
+    @pytest.mark.parametrize("bound", BOUNDS)
+    def test_accepted(self, bound):
+        BOUNDS[bound][1]()
