@@ -30,7 +30,9 @@ times the sum of sign(q) over the column permutations q for which q.w is a
 row rearrangement of p.  A per-module table (`at_pivots`) holds that
 value for every pivot word and row key, so the dim x dim integer matrix V
 of the values of the Y(w) at P costs one lookup per entry, and no basis
-vector is stored expanded.
+vector is stored expanded.  The table walks each pivot word column by
+column, merging partial walks (`YoungSymmetrizer.sums`), and never lists
+the column group: det^7 over m = 3 has 279,936 column permutations.
 
 Soundness.  Exact elimination proves V nonsingular.  A linear relation
 among the Y(w) would hold among their values at P, that is among the
@@ -48,8 +50,9 @@ full residual reduction: Y(p) is in im Y for every word p, and a
 permutation g of the letters commutes with every permutation of the
 slots, so g Y(x) = Y(g x).  The coordinates of Y(p) come from its values
 at P, which depend only on the row key of p (`scaled_image`), and those
-of g(Y(w)) are the coordinates of Y(g w); only the generator images
-expand a basis vector, one at a time.
+of g(Y(w)) are the coordinates of Y(g w).  No basis vector is expanded:
+the generator images walk Y(w) with the row step and sum it by key, one
+source basis vector at a time.
 
 Slices.  The slice (F_i)_k is read off two tables by index.  With P the
 pivot words of S_alpha(i)(E) and n_tails sorted tail multisets of degree
@@ -73,9 +76,9 @@ normalized symmetric tensor:
 - a permutation of the letters permutes head and tail, then re-sorts the
   tail.
 
-The symmetrizer is therefore applied once per source basis vector, not
-once per expanded vector, and the Schur coordinates of the i-th map are
-found once per target row key of its head prefixes.
+The i-th map therefore walks each source basis vector once, summed by
+target row key and sorted suffix, and its Schur coordinates are found
+once per target row key.
 
 Tables are cached on the `SliceLab` by what they depend on.  The tail
 multisets of a symmetric degree j and their index are built once per j
@@ -107,10 +110,10 @@ from __future__ import annotations
 
 import os
 from collections import namedtuple
+from functools import cache
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
 from math import factorial, gcd, lcm, prod
-from operator import itemgetter
 
 from .partitions import dim_gl, trim
 from .resolutions import (
@@ -195,12 +198,13 @@ def _filling_groups(boxes) -> tuple[list[list[int]], list[list[int]]]:
     return list(rows.values()), list(cols.values())
 
 
-def _signed_perms(n: int) -> list:
+@cache
+def _signed_perms(n: int) -> tuple:
     """Every permutation of range(n) with its sign."""
-    return [
+    return tuple(
         (p, (-1) ** sum(p[a] > p[b] for a in range(n) for b in range(a + 1, n)))
         for p in permutations(range(n))
-    ]
+    )
 
 
 class YoungSymmetrizer:
@@ -209,94 +213,78 @@ class YoungSymmetrizer:
     default), acting on the leading |lam| slots of words.
 
     Both are sums over the slot permutations that preserve every row
-    (column).  The row sum is taken over distinct result words: a row
-    whose letters occur n_1, n_2, ... times yields each distinct
-    rearrangement n_1! n_2! ... times.  A column with a repeated letter
-    contributes nothing, since swapping the two equal letters pairs its
-    terms with opposite signs; otherwise the column permutations give
-    distinct words.  Integer input coefficients give integer output."""
+    (column).  `sums` walks them column by column, short columns first,
+    and lists neither group.  A column meets rows 0..h-1: the row step
+    takes one unused letter from each, h distinct letters (a repeated
+    letter cancels, by swapping the two equal letters), and the column
+    step puts them into the column's slots in every order, with its sign.
+    So each distinct row rearrangement is taken once, and the walk starts
+    from the number of row permutations fixing the word.  Partial walks
+    that have used the same letters of every row and put the same letters
+    into every group of slots merge.  Integer input coefficients give
+    integer output."""
 
     def __init__(self, lam, boxes=None):
         self.lam = trim(lam)
         self.boxes = _boxes(self.lam) if boxes is None else list(boxes)
         if sorted(self.boxes) != _boxes(self.lam):
             raise ValueError(f"{boxes} are not the boxes of {self.lam}")
-        self.rows, cols = _filling_groups(self.boxes)
-        self._arrangements: dict = {}  # sorted row letters -> their distinct rearrangements
-        cols = [c for c in cols if len(c) > 1]
-        self._col_pairs = [(a, b) for c in cols for i, a in enumerate(c) for b in c[i + 1 :]]
-        # the column group as (gather of the permuted word, sign)
-        n = len(self.boxes)
-        self.column_moves = [] if cols else [(lambda w: tuple(w[:n]), 1)]
-        for perms in product(*(_signed_perms(len(c)) for c in cols)) if cols else ():
-            q = list(range(n))
-            for col, (p, _) in zip(cols, perms):
-                for slot, j in zip(col, p):
-                    q[slot] = col[j]
-            self.column_moves.append((itemgetter(*q), prod(sign for _, sign in perms)))
+        self.rows, self.cols = _filling_groups(self.boxes)
 
     def row_key(self, word) -> tuple:
         """The sorted letters of every row: the same for exactly the row
         rearrangements of word."""
         return tuple([tuple(sorted([word[s] for s in row])) for row in self.rows])
 
+    def sums(self, word, groups, rows: bool = True) -> dict:
+        """Y(word) summed by key, {key: coefficient}: a word's key is the
+        sorted letters of each group of slots, the groups covering the
+        leading |lam| slots once.  rows=False leaves out the row step, so
+        each column permutes the letters of word in its own slots: the sum
+        of sign(q) over the column permutations q with key(q.word) = r,
+        times the row stabilizer of r, is Y(p) at word for p of row key r."""
+        group = {s: g for g, slots in enumerate(groups) for s in slots}
+        start = self.row_key(word) if rows else None
+        states = {(start, ((),) * len(groups)): _stabilizer(start) if rows else 1}
+        for col in self.cols[::-1]:
+            h, to = len(col), [group[s] for s in col]
+            nxt: dict = {}
+            for (unused, contents), c in states.items():
+                picks = _picks(unused, h) if rows else [(None, [word[s] for s in col])]
+                for left, letters in picks:
+                    for p, sign in _signed_perms(h):
+                        new = list(contents)
+                        for g, j in zip(to, p):
+                            new[g] = tuple(sorted(new[g] + (letters[j],)))
+                        state = (left, tuple(new))
+                        nxt[state] = nxt.get(state, 0) + sign * c
+            states = {state: c for state, c in nxt.items() if c}
+        return {contents: c for (_, contents), c in states.items()}
+
     def apply(self, vec: Vec) -> Vec:
         out: Vec = {}
         n = len(self.boxes)
+        slots = [[s] for s in range(n)]
         for word, c in vec.items():
-            rest = tuple(word[n:])
-            key = self.row_key(word)
-            cc = c * _stabilizer(key)
-            rearranged = [list(word)]
-            for row, letters in zip(self.rows, key):
-                if letters not in self._arrangements:
-                    self._arrangements[letters] = list(_multiset_perms(letters))
-                rearranged = [
-                    _placed(base, row, arr)
-                    for arr in self._arrangements[letters]
-                    for base in rearranged
-                ]
-            for rw in rearranged:
-                for a, b in self._col_pairs:
-                    if rw[a] == rw[b]:
-                        break
-                else:
-                    for gather, sign in self.column_moves:
-                        w = gather(rw) + rest
-                        y = out.get(w, 0) + sign * cc
-                        if y:
-                            out[w] = y
-                        else:
-                            out.pop(w, None)
-        return out
+            for key, x in self.sums(word, slots).items():
+                w = tuple([letter for (letter,) in key]) + tuple(word[n:])
+                out[w] = out.get(w, 0) + c * x
+        return {w: x for w, x in out.items() if x}
+
+
+def _picks(unused, h: int):
+    """(what stays unused, letters) for every choice of h distinct letters,
+    one from each of the sorted rows unused[:h]."""
+    for letters in product(*[sorted(set(row)) for row in unused[:h]]):
+        if len(set(letters)) == h:
+            at = map(tuple.index, unused, letters)
+            left = tuple([row[:i] + row[i + 1 :] for row, i in zip(unused, at)])
+            yield left + unused[h:], letters
 
 
 def _stabilizer(key) -> int:
     """Number of row permutations that fix a word with row key `key`."""
     return prod([factorial(letters.count(x)) for letters in key for x in set(letters)])
-
-
-def _placed(base: list, slots, letters) -> list:
-    """A copy of base with the given letters in the given slots."""
-    w = base[:]
-    for s, x in zip(slots, letters):
-        w[s] = x
-    return w
-
-
-def _multiset_perms(word):
-    """Distinct rearrangements of a sorted word."""
-    if not word:
-        yield ()
-        return
-    seen = set()
-    for i, x in enumerate(word):
-        if x in seen:
-            continue
-        seen.add(x)
-        rest = word[:i] + word[i + 1 :]
-        for tail in _multiset_perms(rest):
-            yield (x,) + tail
 
 
 # ---------------------------------------------------------------------------
@@ -484,14 +472,12 @@ def realize_schur(lam, m: int, limit: int | None = None, boxes=None) -> SchurRea
         raise DimMismatchError(f"{len(pivots)} tableaux of {lam} over dim {m}, expected {target}")
     at_pivots: dict = {}
     for j, w in enumerate(pivots):
-        for gather, sign in sym.column_moves:
-            key = sym.row_key(gather(w))
-            row = at_pivots.setdefault(key, {})
-            row[j] = row.get(j, 0) + sign
+        for key, x in sym.sums(w, sym.rows, rows=False).items():
+            at_pivots.setdefault(key, {})[j] = x
     # times the row stabilizer of the key: the value of Y(p) at P[j]
     for key, row in at_pivots.items():
         mult = _stabilizer(key)
-        at_pivots[key] = {j: mult * x for j, x in row.items() if x}
+        at_pivots[key] = {j: mult * x for j, x in row.items()}
     inverse = _inverse([at_pivots.get(sym.row_key(w), {}) for w in pivots])
     if inverse is None:
         raise DimMismatchError(f"the {target} tableau images of {lam} over dim {m} are dependent")
@@ -603,43 +589,40 @@ class SliceLab:
 
     def generator_images(self, i: int) -> list:
         """Image of each Schur basis vector of F_i under the i-th map, as
-        {sorted suffix: {target Schur index: coefficient}}.
+        {sorted suffix: {target Schur index: nonzero coefficient}}.  A
+        suffix whose coefficients all cancel is left out, never held as an
+        empty entry.
 
         The map symmetrizes the slots from a = |alpha(d, i-1)| on and then
         applies the symmetrizer Y of F_{i-1} to the first a slots.  A head
         word h goes to Y(h[:a]) (x) sym(h[a:]) with coefficient 1, and
         Y(h[:a]) depends only on the row key of h[:a] in the target.  So
-        the coefficients of the head words are summed, in integers, per
-        (sorted suffix, target row key); the Schur coordinates of each row
-        key (`scaled_image`, times the target's D) are found once per map,
-        and the sums are divided by D once.  Each source basis vector is
-        expanded here, one at a time, and dropped; the target's never is."""
+        the source's walk (`YoungSymmetrizer.sums`) sums the head words, in
+        integers, by key: the target's rows and the tail slots are its
+        groups, so a key is a target row key and a sorted suffix, and no
+        head word is listed.  The Schur coordinates of each row key
+        (`scaled_image`, times the target's D) are found once per map, and
+        the sums are divided by D once."""
         if i not in self._images:
             source, target = self.schur(i), self.schur(i - 1)
-            row_key, den = target.symmetrizer.row_key, target.denom
-            a = sum(target.lam)
+            den, a = target.denom, sum(target.lam)
+            groups = target.symmetrizer.rows + [range(a, sum(source.lam))]
             coords: dict = {}  # target row key -> D times its Schur coordinates
             images = []
             for w in source.pivots:
-                sums: dict = {}
-                for h, c in source.symmetrizer.apply({w: 1}).items():
-                    key = (tuple(sorted(h[a:])), row_key(h))
-                    sums[key] = sums.get(key, 0) + c
                 img: dict = {}
-                for (suffix, rk), c in sums.items():
-                    slot = img.setdefault(suffix, {})
-                    if c:
-                        rc = coords.get(rk)
-                        if rc is None:
-                            rc = coords[rk] = target.scaled_image(rk)
-                        for r, x in rc.items():
-                            slot[r] = slot.get(r, 0) + c * x
-                images.append(
-                    {
-                        suffix: {r: _ratio(x, den) for r, x in slot.items() if x}
-                        for suffix, slot in img.items()
-                    }
-                )
+                for key, c in source.symmetrizer.sums(w, groups).items():
+                    rk, slot = key[:-1], img.setdefault(key[-1], {})
+                    rc = coords.get(rk)
+                    if rc is None:
+                        rc = coords[rk] = target.scaled_image(rk)
+                    for r, x in rc.items():
+                        slot[r] = slot.get(r, 0) + c * x
+                images.append({
+                    suffix: coeffs
+                    for suffix, slot in img.items()
+                    if (coeffs := {r: _ratio(x, den) for r, x in slot.items() if x})
+                })
             self._images[i] = images
         return self._images[i]
 

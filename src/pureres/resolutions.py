@@ -251,13 +251,25 @@ class BettiTable(namedtuple("BettiTable", "kind d rows params truncated_at")):
 # and the CLI examples have m <= 5.
 BETTI_LENGTH_LIMIT = 64
 
-# Largest m^2 * bitlen(d_m - d_0) that betti_F accepts: the Weyl products
-# also grow with the size of the degrees.  At this bound betti_F takes
-# about 0.4 s at m = 64 (gaps of 2^26) and 0.07 s at m = 16 (gaps of
-# 2^508); at twice it 1.4 s and 0.23 s.  Gaps of 10^100 took 28 s at
-# m = 64 and gaps of 10^4000 13 s at m = 16.  The tests, demos and
-# benchmark inputs stay below 2^15.
+# Largest m^2 * bitlen(d_m - d_0) that betti_F and herzog_kuhl_primitive
+# accept, and largest m(m - 1)/2 * bitlen(d_m - d_0) that hilbert_M_strips
+# accepts: their products also grow with the size of the degrees.  At this
+# bound betti_F takes about 0.4 s at m = 64 (gaps of 2^26) and 0.07 s at
+# m = 16 (gaps of 2^508); at twice it 1.4 s and 0.23 s.  Gaps of 10^100
+# took 28 s at m = 64 and gaps of 10^4000 13 s at m = 16; at m = 30 with
+# every other gap near 2^2047, herzog_kuhl_primitive took 9 s and
+# hilbert_M_strips(d, d_0 + 2) over 20 s.  The tests, demos and benchmark
+# inputs stay below 2^15.
 BETTI_COST_LIMIT = 2**17
+
+
+def _check_bits(d) -> DegreeData:
+    """The record of d, refused when m^2 * bitlen(d_m - d_0) is over
+    BETTI_COST_LIMIT."""
+    r = degree_data(d)
+    cost = r.m * r.m * (r.d[-1] - r.d[0]).bit_length()
+    check_limit("degree sequence m^2 * bitlen(d_m - d_0)", cost, BETTI_COST_LIMIT)
+    return r
 
 
 @lru_cache(maxsize=RECORD_SIZE)
@@ -267,8 +279,7 @@ def _f_terms(d: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], tuple[int
     BETTI_COST_LIMIT before any Weyl dimension is paid for."""
     m = len(d) - 1
     check_limit("degree sequence m", m, BETTI_LENGTH_LIMIT)
-    cost = m * m * (d[-1] - d[0]).bit_length()
-    check_limit("degree sequence m^2 * bitlen(d_m - d_0)", cost, BETTI_COST_LIMIT)
+    _check_bits(d)
     weights = tuple([alpha(d, i) for i in range(m + 1)])
     return weights, tuple([dim_gl(w, m) for w in weights])
 
@@ -455,8 +466,9 @@ def betti_H_super(
 def herzog_kuhl_primitive(d) -> tuple[int, ...]:
     """The unique positive integer vector with gcd 1 proportional to
     (prod_{j != i} 1/|d_j - d_i|)_i.  These are the only Betti numbers a
-    pure resolution of type d can have, up to an integer factor."""
-    d = check_degrees(d)
+    pure resolution of type d can have, up to an integer factor.  Refused
+    over BETTI_COST_LIMIT before any product."""
+    d = _check_bits(d).d
     dens = [prod(abs(d[j] - d[i]) for j in range(len(d)) if j != i) for i in range(len(d))]
     scale = lcm(*dens)
     ints = [scale // p for p in dens]
@@ -529,8 +541,12 @@ def hilbert_M_strips(d, k: int) -> int:
     bookkeeping: sum of dim S_mu(E) over the surviving Pieri strips.  Every
     strip mu contains the base weight lam, so mu contains alpha(d, 1)
     exactly when mu_1 >= lam_1 + e_1; the survivors are the strips with
-    mu_1 <= top = lam_1 + e_1 - 1."""
+    mu_1 <= top = lam_1 + e_1 - 1.  Refused before any product when the
+    bits of one Weyl numerator, m(m - 1)/2 * bitlen(d_m - d_0), are over
+    BETTI_COST_LIMIT; at m = 1 there is no product."""
     r = degree_data(d)
+    cost = r.m * (r.m - 1) // 2 * (r.d[-1] - r.d[0]).bit_length()
+    check_limit("Weyl numerator bits m(m - 1)/2 * bitlen(d_m - d_0)", cost, BETTI_COST_LIMIT)
     if k < r.d[0]:
         return 0
     return pieri_dim(r.base, k - r.d[0], r.m, r.top)

@@ -3,7 +3,8 @@ enumeration for (skew) Schur module dimensions, kept deliberately separate
 from the library's formulas, horizontal strips by search over a box, the
 strip-filter form of the Hilbert function and the tableau form of super
 dimensions, dense Gauss-Jordan rank, a Fraction Gauss-Jordan inverse and
-dense matrix helpers, an echelonized subspace basis with coordinates, a
+dense matrix helpers, an echelonized subspace basis with coordinates, the
+Young symmetrizer summed over its whole row and column groups, a
 word-level realization of the slice complex for the exactness lab, and
 Bott's algorithm with every pair of entries compared."""
 
@@ -296,6 +297,41 @@ def symmetrize_trailing(vec: dict, start: int) -> dict:
     for w, c in vec.items():
         add_scaled(out, {w[:start] + w2: c2 for w2, c2 in sym_tensor(w[start:]).items()}, c)
     return out
+
+
+def young_symmetrize(lam, boxes, vec) -> dict:
+    """The Young symmetrizer of the filling that puts boxes[s] (row-major
+    when boxes is None) in slot s, by brute force: each word w of vec goes
+    to the sum of sign(q) times the word s -> w[r[q[s]]] over every slot
+    permutation r that keeps each row and q that keeps each column, with
+    no merging on the way; slots past the boxes stay put."""
+    lam = trim(lam)
+    boxes = [(r, c) for r in range(len(lam)) for c in range(lam[r])] if boxes is None else boxes
+    n = len(boxes)
+
+    def keeping(side):
+        classes: dict = {}
+        for s, box in enumerate(boxes):
+            classes.setdefault(box[side], []).append(s)
+        perms = []
+        for images in product(*[permutations(c) for c in classes.values()]):
+            p = list(range(n))
+            for c, image in zip(classes.values(), images):
+                for s, t in zip(c, image):
+                    p[s] = t
+            perms.append(p)
+        return perms
+
+    def sign(p) -> int:
+        return (-1) ** sum(p[a] > p[b] for a in range(n) for b in range(a + 1, n))
+
+    out: dict = {}
+    for w, c in vec.items():
+        for r in keeping(0):
+            for q in keeping(1):
+                y = tuple([w[r[q[s]]] for s in range(n)]) + tuple(w[n:])
+                out[y] = out.get(y, 0) + sign(q) * c
+    return {y: c for y, c in out.items() if c}
 
 
 def schur_basis(schur) -> list:

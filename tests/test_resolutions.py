@@ -586,6 +586,19 @@ BOUNDS = {
         lambda: betti_F(tuple(range(8)) + (2**2047,)),
         ResourceLimitError,
     ),
+    # the same bound on the primitive vector, which reads no Weyl dimension
+    "primitive_bits": (
+        lambda: herzog_kuhl_primitive(tuple(range(8)) + (2**2048,)),
+        lambda: herzog_kuhl_primitive(tuple(range(8)) + (2**2047,)),
+        ResourceLimitError,
+    ),
+    # Weyl numerator bits m(m - 1)/2 * bitlen(d_m - d_0) = 28 * 4682 and
+    # 28 * 4681
+    "strips_bits": (
+        lambda: hilbert_M_strips(tuple(range(8)) + (2**4681,), 2),
+        lambda: hilbert_M_strips(tuple(range(8)) + (2**4680,), 2),
+        ResourceLimitError,
+    ),
     # dim F = 201 and 200
     "det_dim": (
         lambda: det_setup((0, 201)),
