@@ -208,26 +208,36 @@ def dim_gl(lam, m: int) -> int:
 
 def _int_det(mat: list[list[int]]) -> int:
     """Fraction-free Bareiss determinant of a small integer matrix."""
-    n = len(mat)
-    if n == 0:
-        return 1
     a = [row[:] for row in mat]
-    sign = 1
-    prev = 1
+    n, sign, prev = len(a), 1, 1
     for k in range(n - 1):
         if a[k][k] == 0:
-            for r in range(k + 1, n):
-                if a[r][k] != 0:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
+            r = next((r for r in range(k + 1, n) if a[r][k]), None)
+            if r is None:
                 return 0
+            a[k], a[r], sign = a[r], a[k], -sign
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    return sign * a[-1][-1] if n else 1
+
+
+def _complete(k: int, m: int, n: int) -> int:
+    """h_k(1^m / 1^n), the coefficient of t^k in (1 + t)^n / (1 - t)^m:
+    the sum over j of C(n, j) * C(m - 1 + k - j, k - j), each term from the
+    one before; 0 for k < 0."""
+    if k < 0:
+        return 0
+    if m == 0:
+        return comb(n, k)
+    odd, even = 1, comb(m - 1 + k, k)
+    total = even
+    for j in range(min(k, n)):
+        odd = odd * (n - j) // (j + 1)
+        even = even * (k - j) // (m - 1 + k - j)
+        total += odd * even
+    return total
 
 
 def dim_skew(outer, inner, n: int) -> int:
@@ -239,66 +249,28 @@ def dim_skew(outer, inner, n: int) -> int:
     inner = check_partition(inner)
     if not contains(outer, inner):
         raise ValueError(f"{inner} not contained in {outer}")
-    ell = len(outer)
-    if ell == 0:
-        return 1
-
-    def h(k: int) -> int:
-        if k < 0:
-            return 0
-        if k == 0:
-            return 1
-        return comb(n + k - 1, k)
-
-    mat = [
-        [h(outer[i] - part(inner, j) - i + j) for j in range(ell)]
-        for i in range(ell)
-    ]
-    return _int_det(mat)
-
-
-def _subpartitions(lam, max_rows: int, n: int) -> list[tuple[int, ...]]:
-    """All mu inside lam with at most max_rows nonzero parts such that
-    lam/mu has at most n boxes in every row, built one row at a time."""
-    lam = trim(lam)
-    rows = min(len(lam), max_rows)
-    if any(x > n for x in lam[rows:]):
-        return []
-    level = [()]
-    for i in range(rows):
-        fewest = max(lam[i] - n, 0)
-        level = [
-            mu + (mu_i,)
-            for mu in level
-            for mu_i in range(min(lam[i], mu[-1]) if i else lam[0], fewest - 1, -1)
-        ]
-    return [trim(mu) for mu in level]
+    cols = [part(inner, j) - j for j in range(len(outer))]
+    return _int_det([[_complete(x - i - c, n, 0) for c in cols] for i, x in enumerate(outer)])
 
 
 def dim_super(lam, m: int, n: int) -> int:
     """Dimension of the Z/2-graded Schur module of a (m, n)-dimensional
-    graded space: sum over mu inside lam of
-    dim S_mu(V0) * dim S_{lam'/mu'}(V1).
+    graded space, the hook Schur function s_lam(1^m / 1^n).
 
-    The odd factor s_{lam'/mu'}(1^n) is the dual Jacobi-Trudi determinant
-    det e_{lam_i - mu_j - i + j}(1^n), with e_k(1^n) = C(n, k), of size
-    len(lam); it vanishes when a row of lam/mu holds more than n boxes, so
-    those mu are skipped.  Zero exactly when lam does not fit in the (m, n)
-    hook.
-    """
+    By the supersymmetric Jacobi-Trudi identity it is det h_{lam_i - i + j}
+    of size len(lam), with h_k = _complete(k, m, n).  Zero exactly when lam
+    does not fit in the (m, n) hook, which is answered first, as is n = 0
+    (the Weyl dimension)."""
     lam = check_partition(lam)
     if m < 0 or n < 0:
         raise ValueError(f"graded dimension ({m}, {n}) has a negative part")
     ell = len(lam)
-    total = 0
-    for mu in _subpartitions(lam, m, n):
-        cols = [part(mu, j) - j for j in range(ell)]
-        odd = _int_det(
-            [[comb(n, k) if (k := lam[i] - i - c) >= 0 else 0 for c in cols] for i in range(ell)]
-        )
-        if odd:
-            total += dim_gl(mu, m) * odd
-    return total
+    if ell > m and lam[m] > n:
+        return 0
+    if n == 0:
+        return dim_gl(lam, m)
+    h = {k: _complete(k, m, n) for k in {x - i + j for i, x in enumerate(lam) for j in range(ell)}}
+    return _int_det([[h[x - i + j] for j in range(ell)] for i, x in enumerate(lam)])
 
 
 def complement_in_rectangle(lam, width: int, height: int) -> tuple[int, ...]:

@@ -362,16 +362,18 @@ def _default_truncation(lam, m: int, n: int) -> int:
 # Super tables are refused before any dimension is computed when they are
 # truncated past BETTI_LENGTH_LIMIT rows, or when a dim_super call (weight
 # lam, graded dimension (m, n)) would build entries that are too large or
-# the estimated work of all calls is too high.  A call visits at most
-# prod (min(lam_j, n) + 1) subpartitions mu (over the first m rows), and
-# each costs a len(lam)^3 Bareiss determinant of binomials C(n, k),
-# k <= lam_1 + len(lam), whose steps grow them len(lam)-fold, plus a Weyl
-# product of m^2 factors.  The entry bounds are SUPER_ENTRY_BITS for
-# C(n, k) and BETTI_COST_LIMIT for m^2 * bitlen(lam_1 + m), as in betti_F.
-# On 2 cores with CPython 3.11, the slowest of about 20,000 random tables
-# accepted under these limits (parts and dimensions up to 10^6 and 10^40,
-# up to 64 rows) took 0.4 s; the benchmark's `tables` inputs stay below
-# 6 * 10^4 and the tests' below 1.3 * 10^6.
+# the estimated work of all calls is too high.  Unless lam is off the (m, n)
+# hook, a call is a Weyl product of m^2 factors when n = 0, and otherwise a
+# len(lam)^3 Bareiss determinant whose steps grow its entries len(lam)-fold.
+# Its entries, at most len(lam) distinct per row of lam and fewer where rows
+# are close, are sums of min(lam_1 + len(lam), n) + 1 products of about
+# bitlen C(n, k) + m * bitlen(lam_1 + len(lam) + m) bits.  The entry bounds
+# are SUPER_ENTRY_BITS for C(n, k) and BETTI_COST_LIMIT for m^2 *
+# bitlen(lam_1 + m), as in betti_F.  On 2 cores with CPython 3.11, the
+# slowest of 20,000 random tables accepted under these limits (parts and
+# e1 up to 10^6, dimensions up to 10^40, up to 64 rows) took 0.07 s; the
+# `tables` inputs stay below 1.7 * 10^4, the tests' besides the bound's own
+# below 3.5 * 10^4.
 SUPER_ENTRY_BITS = 4096
 SUPER_COST_LIMIT = 4 * 10**6
 
@@ -392,20 +394,23 @@ def _check_super_cost(*factors) -> None:
     cost = 0
     for weights, m, n in factors:
         m, n = max(m, 0), max(n, 0)  # dim_super itself rejects negative dimensions
-        n_bits = n.bit_length()
         for lam in weights:
             ell = len(lam)
             cost += ell + 1
-            if ell > m and lam[m] > n:  # a row past the m-th exceeds n: no mu qualifies
+            if ell > m and lam[m] > n:  # outside the (m, n) hook: zero at once
                 continue
             top = lam[0] if lam else 0
-            entry_bits = min(top + ell, n) * n_bits
+            entry_bits = min(top + ell, n) * n.bit_length()
             weyl_bits = m * m * (top + m).bit_length()
             check_limit("dim_super entry bits", entry_bits, SUPER_ENTRY_BITS)
             check_limit("dim_super Weyl bits m^2 * bitlen(lam_1 + m)", weyl_bits, BETTI_COST_LIMIT)
-            det = ell**3 * (1 + ell * entry_bits // 64)
-            weyl = m * m * (1 + weyl_bits // 128)
-            cost += prod([min(x, n) + 1 for x in lam[:m]]) * (det + weyl)
+            if n == 0:
+                cost += m * m * (1 + weyl_bits // 128)
+                continue
+            bits = entry_bits + m * (top + ell + m).bit_length()
+            entries = ell + sum([min(ell, x - y + 1) for x, y in zip(lam, lam[1:])])
+            cost += entries * (min(top + ell, n) + 1) * (1 + bits // 64)
+            cost += ell**3 * (1 + ell * bits // 64)
     check_limit("super table estimated word operations", cost, SUPER_COST_LIMIT)
 
 
@@ -543,12 +548,16 @@ def hilbert_M_strips(d, k: int) -> int:
     exactly when mu_1 >= lam_1 + e_1; the survivors are the strips with
     mu_1 <= top = lam_1 + e_1 - 1.  Refused before any product when the
     bits of one Weyl numerator, m(m - 1)/2 * bitlen(d_m - d_0), are over
-    BETTI_COST_LIMIT; at m = 1 there is no product."""
+    BETTI_COST_LIMIT (at m = 1 there is no product), or when the strips of
+    size k - d_0 times m^2 may be over PROFILE_STRIP_LIMIT: they are at
+    most C(k - d_0 + m - 1, m - 1), and at most prod e_i, all strips of M."""
     r = degree_data(d)
     cost = r.m * (r.m - 1) // 2 * (r.d[-1] - r.d[0]).bit_length()
     check_limit("Weyl numerator bits m(m - 1)/2 * bitlen(d_m - d_0)", cost, BETTI_COST_LIMIT)
     if k < r.d[0]:
         return 0
+    strips = min(comb(k - r.d[0] + r.m - 1, r.m - 1), prod(r.e[1:])) * r.m * r.m
+    check_limit("Pieri strips of degree k * m^2", strips, PROFILE_STRIP_LIMIT)
     return pieri_dim(r.base, k - r.d[0], r.m, r.top)
 
 
@@ -560,12 +569,14 @@ def hilbert_M_strips(d, k: int) -> int:
 # rays 4 to 6.
 PROFILE_SPAN_LIMIT = 100
 
-# Largest strip count times m^2 that module_profile accepts.  Over all
-# degrees M(d) has exactly prod_{i>=1} e_i Pieri strips, and each is built
-# through m rows of up to m Weyl factors.  At the limit it takes 0.16-0.21 s
-# ((0,10,20,45,95), and m = 10 with every e_i in {1, 2, 5}); m = 72 with
-# 4096 strips (21e6; twelve gaps of 2, then sixty of 1) takes 4.3 s.
-# `tables` inputs reach 6^5 * 5^2 = 194400, the CLI examples 900.
+# Largest strip count times m^2 that module_profile accepts, and
+# hilbert_M_strips for the strips of one degree.  Over all degrees M(d) has
+# exactly prod_{i>=1} e_i Pieri strips, each built through m rows of up to
+# m Weyl factors.  At the limit module_profile takes 0.16-0.21 s
+# ((0,10,20,45,95), and m = 10 with every e_i in {1, 2, 5}) and
+# hilbert_M_strips up to 0.13 s (m = 40, k = d_0 + 2); m = 72 with 4096
+# strips (21e6; twelve gaps of 2, then sixty of 1) takes 4.3 s.  `tables`
+# inputs reach 6^5 * 5^2 = 194400, the CLI examples 900.
 PROFILE_STRIP_LIMIT = 2_000_000
 
 

@@ -259,6 +259,14 @@ class TestDimSuper:
             assert dim_super(lam, m, 0) == dim_gl(lam, m)
             assert dim_super(lam, 0, n) == dim_gl(conjugate(lam), n)
 
+    def test_long_hook_shape_is_one_determinant(self):
+        # twelve long even rows and forty odd boxes: summing over the
+        # subpartitions of lam instead takes about 30 s
+        lam = tuple(range(10**5, 10**5 - 12, -1)) + (1,) * 40
+        t0 = time.process_time()
+        assert dim_super(lam, 12, 1) == 302231454903657293676544
+        assert time.process_time() - t0 < 1
+
     def test_leaves_no_reference_cycle(self):
         # garbage that only the cyclic collector frees would pile up
         # between collections in long table runs
@@ -284,7 +292,7 @@ class TestDimSuper:
 
 class TestDimSuperOracle:
     @settings(derandomize=True, database=None, max_examples=150, deadline=None)
-    @given(partitions(4, 4), st.integers(0, 3), st.integers(0, 3))
+    @given(partitions(5, 5), st.integers(0, 4), st.integers(0, 4))
     def test_matches_tableau_count(self, lam, m, n):
         assert dim_super(lam, m, n) == tableau_super_dim(lam, m, n)
 

@@ -599,6 +599,12 @@ BOUNDS = {
         lambda: hilbert_M_strips(tuple(range(8)) + (2**4680,), 2),
         ResourceLimitError,
     ),
+    # strips of degree k * m^2 = (k + 1) * 2^2 = 2,000,004 and 2,000,000
+    "strips_degree": (
+        lambda: hilbert_M_strips((0, 10**6, 2 * 10**6), 500_000),
+        lambda: hilbert_M_strips((0, 10**6, 2 * 10**6), 499_999),
+        ResourceLimitError,
+    ),
     # dim F = 201 and 200
     "det_dim": (
         lambda: det_setup((0, 201)),
@@ -634,10 +640,10 @@ BOUNDS = {
         lambda: betti_F_super((1,), 2**128 - 34, 32, 0, N=1),
         ResourceLimitError,
     ),
-    # about 4.003 and 2.7 million estimated word operations
+    # about 4.70 and 3.97 million estimated word operations
     "super_total": (
-        lambda: betti_F_super((4,) * 5, 2, 4, 8, N=6),
-        lambda: betti_F_super((4,) * 5, 2, 4, 8, N=5),
+        lambda: betti_F_super((4,) * 5, 2, 4, 8, N=30),
+        lambda: betti_F_super((4,) * 5, 2, 4, 8, N=29),
         ResourceLimitError,
     ),
     # top - d_0 = 101 and 100
