@@ -275,7 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--limit",
         type=int,
-        help="ambient tensor dimension limit (default 3^12; env PURERES_TENSOR_LIMIT)",
+        default=exactness.DEFAULT_TENSOR_LIMIT,
+        help="ambient tensor dimension limit, at least 1 (default 3^12)",
     )
     common(p)
     p.set_defaults(func=_cmd_verify)

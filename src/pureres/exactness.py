@@ -108,7 +108,6 @@ is of every letter permutation.
 
 from __future__ import annotations
 
-import os
 from collections import namedtuple
 from functools import cache
 from fractions import Fraction
@@ -143,21 +142,15 @@ class ZeroMapError(Exception):
     """A differential vanished at its generator slice (implementation bug)."""
 
 
-def tensor_limit() -> int:
-    env = os.environ.get("PURERES_TENSOR_LIMIT")
-    if not env:
-        return DEFAULT_TENSOR_LIMIT
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError(f"PURERES_TENSOR_LIMIT={env!r} is not an integer") from None
-
-
-def _exceeds(m: int, n: int, limit: int) -> bool:
-    """Does max(m, 2)^n exceed limit?  For m = 1 the ambient dimension is 1
-    at any n, while the words still have n letters.  2^n > limit once
-    n >= limit.bit_length(), so a huge n is refused without its power."""
-    return n >= limit.bit_length() or max(m, 2) ** n > limit
+def _check_ambient(m: int, n: int, limit: int, what: str = "") -> None:
+    """Refuse max(m, 2)^n over limit, the size of the ambient E^(x)n (for
+    m = 1 it is 1 at any n, while the words still have n letters).  2^n >
+    limit once n >= limit.bit_length(), so a huge n is refused without its
+    power.  A limit below 1 is invalid input, not a resource limit."""
+    if limit < 1:
+        raise ValueError(f"tensor limit {limit} is below 1")
+    if n >= limit.bit_length() or max(m, 2) ** n > limit:
+        raise DimLimitError(f"{what}ambient dimension {max(m, 2)}^{n} > limit {limit}")
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +442,7 @@ def _inverse(columns: list) -> tuple[list, int] | None:
     ], denom
 
 
-def realize_schur(lam, m: int, limit: int | None = None, boxes=None) -> SchurRealization:
+def realize_schur(lam, m: int, limit: int = DEFAULT_TENSOR_LIMIT, boxes=None) -> SchurRealization:
     """Basis of the Young-symmetrizer image inside E^(x)|lam|: the images
     Y(w) of the words w of the semistandard tableaux of lam, last tableau
     first, which are exactly dim S_lam(E) words and also the pivot words P.
@@ -460,11 +453,7 @@ def realize_schur(lam, m: int, limit: int | None = None, boxes=None) -> SchurRea
     nonsingular V makes the images independent, hence a basis; a singular
     one raises DimMismatchError."""
     lam = trim(lam)
-    if limit is None:
-        limit = tensor_limit()
-    t = sum(lam)
-    if _exceeds(m, t, limit):
-        raise DimLimitError(f"ambient dimension {max(m, 2)}^{t} > limit {limit}")
+    _check_ambient(m, sum(lam), limit)
     sym = YoungSymmetrizer(lam, boxes)
     pivots = _ssyt_words(lam, m, sym.boxes)[::-1]
     target = dim_gl(lam, m)
@@ -514,10 +503,10 @@ class SliceLab:
     tail tables, per (j, suffix) the merged tails, per slice (i, k) the
     differential columns, and per (i, k, var) the `times_var` maps."""
 
-    def __init__(self, d, limit: int | None = None):
+    def __init__(self, d, limit: int = DEFAULT_TENSOR_LIMIT):
         r = degree_data(d)
         self.d, self.m = r.d, r.m
-        self.limit = tensor_limit() if limit is None else limit
+        self.limit = limit
         if self.d[0] < 0:
             raise ValueError(
                 f"d = {self.d} starts below 0: the lab realizes polynomial Schur"
@@ -536,12 +525,7 @@ class SliceLab:
         self._actions: dict = {}
 
     def guard(self, k: int) -> None:
-        n = self._base + k
-        if _exceeds(self.m, n, self.limit):
-            raise DimLimitError(
-                f"slice degree {k} needs ambient dimension {max(self.m, 2)}^{n}"
-                f" > limit {self.limit}"
-            )
+        _check_ambient(self.m, self._base + k, self.limit, f"slice degree {k} needs ")
 
     def tail_degree(self, i: int, k: int) -> int:
         """j = k - d_i, the tail degree of (F_i)_k; negative below the
@@ -714,22 +698,24 @@ class SliceLab:
 # operations
 
 
-def differential_slice(d, i: int, k: int, limit: int | None = None):
-    """Exact rational matrix of the i-th differential on the degree-k slice."""
-    return SliceLab(d, limit).differential(i, k)
+def differential_slice(d, i: int, k: int):
+    """Exact rational matrix of the i-th differential on the degree-k slice;
+    for a non-default limit, `SliceLab(d, limit).differential(i, k)`."""
+    return SliceLab(d).differential(i, k)
 
 
-def _lab_for(d, lab: SliceLab | None, limit: int | None = None) -> SliceLab:
+def _lab_for(d, lab: SliceLab | None) -> SliceLab:
     """lab, refused unless it realizes d; a new lab for d when lab is None."""
     if lab is not None and check_degrees(d) != lab.d:
         raise ValueError(f"d = {check_degrees(d)} but the lab realizes {lab.d}")
-    return lab or SliceLab(d, limit)
+    return lab or SliceLab(d)
 
 
-def verify_dsquared(d, k_max: int, limit: int | None = None, lab: SliceLab | None = None):
+def verify_dsquared(d, k_max: int, lab: SliceLab | None = None):
     """Check that adjacent slice matrices compose to zero for every slice
-    degree up to k_max.  Returns (ok, witnesses)."""
-    lab = _lab_for(d, lab, limit)
+    degree up to k_max.  Returns (ok, witnesses).  For a non-default limit,
+    pass lab=SliceLab(d, limit)."""
+    lab = _lab_for(d, lab)
     bad = []
     for i in range(2, lab.m + 1):
         for k in range(lab.d[0], k_max + 1):
@@ -834,7 +820,7 @@ class Certificate(
         )
 
 
-def verify_exactness(d, k_max: int | None = None, limit: int | None = None) -> Certificate:
+def verify_exactness(d, k_max: int | None = None, limit: int = DEFAULT_TENSOR_LIMIT) -> Certificate:
     """Build every slice matrix of the complex up to k_max and certify
     d^2 = 0, exactness of each interior slice, injectivity of the last map,
     agreement of the cokernel with the strip-count Hilbert function,

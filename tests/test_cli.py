@@ -206,12 +206,13 @@ class TestOtherCommands:
         code, _ = run(capsys, "verify", "--d", "0,9,10,11")
         assert code == 3
 
-    def test_verify_bad_limit_variable(self, capsys, monkeypatch):
-        monkeypatch.setenv("PURERES_TENSOR_LIMIT", "abc")
-        code = main(["verify", "--d", "0,1,3"])
-        out, err = capsys.readouterr()
-        assert code == 2 and out == ""
-        assert "PURERES_TENSOR_LIMIT" in err and "'abc'" in err
+    def test_verify_nonpositive_limit(self, capsys):
+        # invalid input (exit 2), not a resource limit (exit 3)
+        for limit in ("0", "-5"):
+            code = main(["verify", "--d", "0,1,3", "--limit", limit])
+            out, err = capsys.readouterr()
+            assert code == 2 and out == ""
+            assert f"tensor limit {limit} is below 1" in err
 
     def test_verify_kmax_below_d0(self, capsys):
         code = main(["verify", "--d", "0,2", "--kmax", "-3"])

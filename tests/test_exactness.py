@@ -24,7 +24,6 @@ from pureres.exactness import (
     mat_rank,
     realize_schur,
     symmetric_generators,
-    tensor_limit,
     verify_dsquared,
     verify_exactness,
 )
@@ -427,9 +426,12 @@ class TestRealizeSchur:
             r = realize_schur(alpha(d, i), m, boxes=chain_filling(d, i))
             assert r.dim == dim_gl(alpha(d, i), m), (d, i)
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("PURERES_TENSOR_LIMIT", "42")
-        assert tensor_limit() == 42
+    def test_nonpositive_limit_is_invalid(self):
+        # a limit below 1 is invalid input, not a resource limit
+        for limit in (0, -5):
+            with pytest.raises(ValueError, match="below 1") as info:
+                realize_schur((1,), 1, limit=limit)
+            assert not isinstance(info.value, DimLimitError)
 
 
 class TestDifferentials:
