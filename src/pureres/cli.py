@@ -39,16 +39,13 @@ def _emit(text: str, path: str | None) -> None:
         raise ValueError(f"--output: {exc}") from exc
 
 
-def _emit_table(table, args) -> None:
+def _render_table(table, args):
     if args.format == "json":
-        _emit(to_json(betti_to_dict(table)), args.output)
-    elif args.format == "csv":
-        _emit(betti_to_csv(table), args.output)
-    else:
-        _emit(betti_pretty(table), args.output)
+        return betti_to_dict(table)
+    return betti_to_csv(table) if args.format == "csv" else betti_pretty(table)
 
 
-def _cmd_betti(args) -> int:
+def _cmd_betti(args):
     d = _ints(args.d)
     if args.construction == "F":
         if args.m is not None and args.m != len(d) - 1:
@@ -56,30 +53,27 @@ def _cmd_betti(args) -> int:
         table = resolutions.betti_F(d)
     else:
         table = resolutions.betti_H(d)
-    _emit_table(table, args)
-    return EXIT_OK
+    return _render_table(table, args)
 
 
-def _cmd_primitive(args) -> int:
+def _cmd_primitive(args):
     d = _ints(args.d)
-    _emit(to_json({"d": d, "primitive": resolutions.herzog_kuhl_primitive(d)}), args.output)
-    return EXIT_OK
+    return {"d": d, "primitive": resolutions.herzog_kuhl_primitive(d)}
 
 
 def _outcome(o) -> dict:
     return {"vanishes": o.vanishes, "h": o.h_degree, "weight": o.weight}
 
 
-def _cmd_bott(args) -> int:
+def _cmd_bott(args):
     outcome = bott_mod.bott_cohomology(_ints(args.alpha), args.u, args.m)
-    _emit(to_json({**_outcome(outcome), "trace": outcome.trace}), args.output)
-    return EXIT_OK
+    return {**_outcome(outcome), "trace": outcome.trace}
 
 
-def _cmd_scan(args) -> int:
+def _cmd_scan(args):
     scan = bott_mod.det_bott_scan(_ints(args.d))
     ranks = bott_mod.scan_ranks(scan)
-    payload = {
+    return {
         "d": scan.d,
         "dim_f": scan.dim_f,
         "dim_g": scan.dim_g,
@@ -90,33 +84,28 @@ def _cmd_scan(args) -> int:
             for i, (u, h, w) in scan.assignments.items()
         ],
     }
-    _emit(to_json(payload), args.output)
-    return EXIT_OK
 
 
-def _cmd_profile(args) -> int:
+def _cmd_profile(args):
     profile = resolutions.module_profile(_ints(args.d))
-    payload = {
+    return {
         "d": profile.d,
         "hilbert_function": profile.hf,
         "top_degree": profile.top_degree,
         "socle_weight": profile.socle_weight,
         "socle_dim": profile.socle_dim,
     }
-    _emit(to_json(payload), args.output)
-    return EXIT_OK
 
 
-def _cmd_duality(args) -> int:
+def _cmd_duality(args):
     report = resolutions.duality_check(_ints(args.d))
     payload = report._asdict()
     del payload["witnesses"]
     payload["passed"] = report.passed
-    _emit(to_json(payload), args.output)
-    return EXIT_OK
+    return payload
 
 
-def _cmd_super(args) -> int:
+def _cmd_super(args):
     lam = _ints(args.lam)
     if args.construction == "F":
         table = resolutions.betti_F_super(lam, args.e1, args.m, args.n, args.N)
@@ -124,11 +113,11 @@ def _cmd_super(args) -> int:
         table = resolutions.betti_H_super(
             lam, args.e1, (args.m0, args.m1), (args.u0, args.u1), args.N
         )
-    _emit_table(table, args)
-    return EXIT_OK
+    return _render_table(table, args)
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
+    """The certificate, and exit 1 unless it passed."""
     d = _ints(args.d)
     if args.m is not None and args.m != len(d) - 1:
         raise ValueError(f"--m {args.m} disagrees with length of d")
@@ -147,8 +136,7 @@ def _cmd_verify(args) -> int:
         "passed": cert.passed,
         "scope": cert.scope_note,
     }
-    _emit(to_json(payload), args.output)
-    return EXIT_OK if cert.passed else EXIT_FAIL
+    return payload, EXIT_OK if cert.passed else EXIT_FAIL
 
 
 PUBLISHED_CLAIMS = {
@@ -188,11 +176,10 @@ def reproduction_rows() -> list[dict]:
     return rows
 
 
-def _cmd_examples(args) -> int:
+def _cmd_examples(args):
     rows = reproduction_rows()
     if args.format == "json":
-        _emit(to_json({"examples": rows}), args.output)
-        return EXIT_OK
+        return {"examples": rows}
     lines = [
         f"{'d':>14} {'primitive':>16} {'F':>6} {'H':>6} {'claimed':>9}  agree"
     ]
@@ -204,8 +191,7 @@ def _cmd_examples(args) -> int:
         )
         if "note" in r:
             lines.append(f"    note: {r['note']}")
-    _emit("\n".join(lines) + "\n", args.output)
-    return EXIT_OK
+    return "\n".join(lines) + "\n"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -220,6 +206,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=formats, default="json", help="output format" + csv)
         p.add_argument("--output", help="write to this path instead of stdout")
 
+    def by_d(name, func, help):
+        # a JSON command whose only input is --d
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--d", required=True)
+        common(p)
+        p.set_defaults(func=func)
+
     p = sub.add_parser("betti", help="Betti table of the F or H construction")
     p.add_argument("--construction", choices=("F", "H"), required=True)
     p.add_argument("--d", required=True, help="comma-separated degree sequence")
@@ -227,10 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, ("json", "csv", "pretty"))
     p.set_defaults(func=_cmd_betti)
 
-    p = sub.add_parser("primitive", help="Herzog-Kuhl primitive Betti vector")
-    p.add_argument("--d", required=True)
-    common(p)
-    p.set_defaults(func=_cmd_primitive)
+    by_d("primitive", _cmd_primitive, "Herzog-Kuhl primitive Betti vector")
 
     p = sub.add_parser("bott", help="Bott cohomology of a twisted Schur bundle")
     p.add_argument("--alpha", required=True, help="comma-separated quotient weight")
@@ -239,20 +229,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=_cmd_bott)
 
-    p = sub.add_parser("scan", help="Bott scan regenerating the H-table terms")
-    p.add_argument("--d", required=True)
-    common(p)
-    p.set_defaults(func=_cmd_scan)
-
-    p = sub.add_parser("profile", help="Hilbert function and socle of the resolved module")
-    p.add_argument("--d", required=True)
-    common(p)
-    p.set_defaults(func=_cmd_profile)
-
-    p = sub.add_parser("duality", help="self-duality report for symmetric difference sequences")
-    p.add_argument("--d", required=True)
-    common(p)
-    p.set_defaults(func=_cmd_duality)
+    by_d("scan", _cmd_scan, "Bott scan regenerating the H-table terms")
+    by_d("profile", _cmd_profile, "Hilbert function and socle of the resolved module")
+    by_d("duality", _cmd_duality, "self-duality report for symmetric difference sequences")
 
     p = sub.add_parser("super", help="truncated Z/2-graded Betti tables")
     p.add_argument("--construction", choices=("F", "H"), required=True)
@@ -297,7 +276,12 @@ def main(argv=None) -> int:
     if digits is not None:
         sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
+        # a command returns a JSON payload or rendered text; verify also
+        # returns its exit code
+        result = args.func(args)
+        out, code = result if isinstance(result, tuple) else (result, EXIT_OK)
+        _emit(out if isinstance(out, str) else to_json(out), args.output)
+        return code
     except resolutions.ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_LIMIT

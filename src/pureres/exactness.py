@@ -80,7 +80,8 @@ The i-th map therefore walks each source basis vector once, summed by
 target row key and sorted suffix, and its Schur coordinates are found
 once per target row key.
 
-Tables are cached on the `SliceLab` by what they depend on.  The tail
+Tables are cached on the `SliceLab` by what they depend on, the
+arguments of the method that builds them (`_memo`).  The tail
 multisets of a symmetric degree j and their index are built once per j
 and shared by every slice with that tail degree.  Merging a suffix into
 the tails of degree j is a table per (j, suffix): one letter is looked
@@ -109,7 +110,7 @@ is of every letter permutation.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cache
+from functools import cache, update_wrapper
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
 from math import factorial, gcd, lcm, prod
@@ -493,17 +494,34 @@ def _tensor_columns(parts, n_src: int, n_tgt: int) -> list:
     return cols
 
 
+def _memo(table: str):
+    """Cache a `SliceLab` method per lab, in the lab's dict `table`, keyed
+    on the method's arguments, which are passed by position.  A call that
+    raises stores nothing, so a refused or invalid call is refused again."""
+
+    def wrap(method):
+        def cached(self, *args):
+            try:
+                return self.__dict__[table][args]
+            except KeyError:
+                memo = self.__dict__.setdefault(table, {})
+            out = memo[args] = method(self, *args)
+            return out
+
+        return update_wrapper(cached, method)
+
+    return wrap
+
+
 class SliceLab:
     """Shared realization context for one degree sequence.  A slice (F_i)_k
     is an index pair, read off two tables: the Schur realization of term
-    i and the tail multisets of degree j = k - d_i (`tail_degree`).  The
-    caches are keyed by what their entries depend on: per term i the Schur
-    realizations (all in the chain filling) and generator images, per
-    (i, g) the Schur actions of letter permutations, per tail degree j the
-    tail tables, per (j, suffix) the merged tails, per slice (i, k) the
-    differential columns, and per (i, k, var) the `times_var` maps."""
+    i and the tail multisets of degree j = k - d_i (`tail_degree`).  Every
+    table is a `_memo` of one method, kept per lab and keyed on exactly
+    what its entries depend on, the method's arguments."""
 
     def __init__(self, d, limit: int = DEFAULT_TENSOR_LIMIT):
+        _check_ambient(1, 0, limit)  # an invalid limit before any other refusal
         r = degree_data(d)
         self.d, self.m = r.d, r.m
         self.limit = limit
@@ -516,13 +534,6 @@ class SliceLab:
         betti_F(self.d)  # for its limits on m and on the Weyl products only
         # all terms of the degree-k slice live in E^(x)(|alpha(0)| - d_0 + k)
         self._base = sum(r.base) - self.d[0]
-        self._schur: dict = {}
-        self._cols: dict = {}
-        self._images: dict = {}
-        self._tails: dict = {}
-        self._merged: dict = {}
-        self._times: dict = {}
-        self._actions: dict = {}
 
     def guard(self, k: int) -> None:
         _check_ambient(self.m, self._base + k, self.limit, f"slice degree {k} needs ")
@@ -533,44 +544,35 @@ class SliceLab:
         self.guard(k)
         return k - self.d[i]
 
+    @_memo("_schur")
     def schur(self, i: int) -> SchurRealization:
-        if i not in self._schur:
-            self.guard(self.d[i])  # m^|alpha(i)|, before the filling is built
-            self._schur[i] = realize_schur(
-                alpha(self.d, i), self.m, self.limit, chain_filling(self.d, i)
-            )
-        return self._schur[i]
+        self.guard(self.d[i])  # m^|alpha(i)|, before the filling is built
+        return realize_schur(alpha(self.d, i), self.m, self.limit, chain_filling(self.d, i))
 
+    @_memo("_tails")
     def tails(self, j: int) -> tuple[list, dict]:
         """The sorted tail multisets of degree j, in the order of
         combinations_with_replacement, and their index."""
-        t = self._tails.get(j)
-        if t is None:
-            multisets = list(combinations_with_replacement(range(self.m), j))
-            t = self._tails[j] = (multisets, {u: n for n, u in enumerate(multisets)})
-        return t
+        multisets = list(combinations_with_replacement(range(self.m), j))
+        return multisets, {u: n for n, u in enumerate(multisets)}
 
+    @_memo("_merged")
     def merged_tails(self, j: int, suffix: tuple) -> list:
         """The list over the tails u of degree j of the index of
         sorted(u + suffix) in degree j + |suffix|.  A one-letter suffix is
         looked up; a longer one composes the one-letter maps, which
         measured faster than sorting every merged tail."""
-        key = (j, suffix)
-        t = self._merged.get(key)
-        if t is None:
-            if len(suffix) == 1:
-                index = self.tails(j + 1)[1]
-                t = [index[tuple(sorted(u + suffix))] for u in self.tails(j)[0]]
-            else:
-                up = self.merged_tails(j + len(suffix) - 1, suffix[-1:])
-                t = [up[x] for x in self.merged_tails(j, suffix[:-1])]
-            self._merged[key] = t
-        return t
+        if len(suffix) == 1:
+            index = self.tails(j + 1)[1]
+            return [index[tuple(sorted(u + suffix))] for u in self.tails(j)[0]]
+        up = self.merged_tails(j + len(suffix) - 1, suffix[-1:])
+        return [up[x] for x in self.merged_tails(j, suffix[:-1])]
 
     def slice_dim(self, i: int, k: int) -> int:
         j = self.tail_degree(i, k)
         return 0 if j < 0 else self.schur(i).dim * len(self.tails(j)[0])
 
+    @_memo("_images")
     def generator_images(self, i: int) -> list:
         """Image of each Schur basis vector of F_i under the i-th map, as
         {sorted suffix: {target Schur index: nonzero coefficient}}.  A
@@ -587,29 +589,28 @@ class SliceLab:
         head word is listed.  The Schur coordinates of each row key
         (`scaled_image`, times the target's D) are found once per map, and
         the sums are divided by D once."""
-        if i not in self._images:
-            source, target = self.schur(i), self.schur(i - 1)
-            den, a = target.denom, sum(target.lam)
-            groups = target.symmetrizer.rows + [range(a, sum(source.lam))]
-            coords: dict = {}  # target row key -> D times its Schur coordinates
-            images = []
-            for w in source.pivots:
-                img: dict = {}
-                for key, c in source.symmetrizer.sums(w, groups).items():
-                    rk, slot = key[:-1], img.setdefault(key[-1], {})
-                    rc = coords.get(rk)
-                    if rc is None:
-                        rc = coords[rk] = target.scaled_image(rk)
-                    for r, x in rc.items():
-                        slot[r] = slot.get(r, 0) + c * x
-                images.append({
-                    suffix: coeffs
-                    for suffix, slot in img.items()
-                    if (coeffs := {r: _ratio(x, den) for r, x in slot.items() if x})
-                })
-            self._images[i] = images
-        return self._images[i]
+        source, target = self.schur(i), self.schur(i - 1)
+        den, a = target.denom, sum(target.lam)
+        groups = target.symmetrizer.rows + [range(a, sum(source.lam))]
+        coords: dict = {}  # target row key -> D times its Schur coordinates
+        images = []
+        for w in source.pivots:
+            img: dict = {}
+            for key, c in source.symmetrizer.sums(w, groups).items():
+                rk, slot = key[:-1], img.setdefault(key[-1], {})
+                rc = coords.get(rk)
+                if rc is None:
+                    rc = coords[rk] = target.scaled_image(rk)
+                for r, x in rc.items():
+                    slot[r] = slot.get(r, 0) + c * x
+            images.append({
+                suffix: coeffs
+                for suffix, slot in img.items()
+                if (coeffs := {r: _ratio(x, den) for r, x in slot.items() if x})
+            })
+        return images
 
+    @_memo("_cols")
     def differential_columns(self, i: int, k: int) -> list:
         """Sparse columns of the i-th differential on the degree-k slice, in
         the realized bases.  The column of s (x) sym(u) is the generator
@@ -618,23 +619,18 @@ class SliceLab:
         entries never collide."""
         if not 1 <= i <= self.m:
             raise ValueError(f"differential index {i} outside 1..{self.m}")
-        key = (i, k)
-        if key not in self._cols:
-            j = self.tail_degree(i, k)
-            cols = []
-            if j >= 0:  # then so is the target's k - d_{i-1} > j
-                n_tgt = len(self.tails(k - self.d[i - 1])[0])
-                parts = [
-                    [(self.merged_tails(j, suffix), coeffs) for suffix, coeffs in img.items()]
-                    for img in self.generator_images(i)
-                ]
-                cols = _tensor_columns(parts, len(self.tails(j)[0]), n_tgt)
-                if k == self.d[i] and not any(cols):
-                    raise ZeroMapError(
-                        f"differential {i} vanished at its generator slice {k}"
-                    )
-            self._cols[key] = cols
-        return self._cols[key]
+        j = self.tail_degree(i, k)
+        if j < 0:
+            return []
+        n_tgt = len(self.tails(k - self.d[i - 1])[0])  # k - d_{i-1} > j >= 0
+        parts = [
+            [(self.merged_tails(j, suffix), coeffs) for suffix, coeffs in img.items()]
+            for img in self.generator_images(i)
+        ]
+        cols = _tensor_columns(parts, len(self.tails(j)[0]), n_tgt)
+        if k == self.d[i] and not any(cols):
+            raise ZeroMapError(f"differential {i} vanished at its generator slice {k}")
+        return cols
 
     def differential(self, i: int, k: int):
         """Matrix of the i-th differential on the degree-k slice, in the
@@ -646,39 +642,32 @@ class SliceLab:
                 out[r][j] = x
         return out
 
+    @_memo("_times")
     def times_var(self, i: int, k: int, var: int) -> list:
         """Multiplication by the var-th basis variable, (F_i)_k ->
         (F_i)_{k+1}, as an index map: s (x) sym(u) goes to s (x) sym(u +
         var), so basis vector number n goes to number out[n] with
         coefficient 1.  The map is injective."""
-        key = (i, k, var)
-        out = self._times.get(key)
-        if out is None:
-            if not 0 <= var < self.m:
-                raise ValueError(f"variable {var} outside 0..{self.m - 1}")
-            j = self.tail_degree(i, k)
-            out = []
-            if j >= 0:
-                n_tgt = len(self.tails(self.tail_degree(i, k + 1))[0])
-                up = self.merged_tails(j, (var,))
-                out = [s * n_tgt + t for s in range(self.schur(i).dim) for t in up]
-            self._times[key] = out
-        return out
+        if not 0 <= var < self.m:
+            raise ValueError(f"variable {var} outside 0..{self.m - 1}")
+        j = self.tail_degree(i, k)
+        if j < 0:
+            return []
+        n_tgt = len(self.tails(self.tail_degree(i, k + 1))[0])
+        up = self.merged_tails(j, (var,))
+        return [s * n_tgt + t for s in range(self.schur(i).dim) for t in up]
 
+    @_memo("_actions")
     def schur_action(self, i: int, g) -> list:
         """Schur coordinates of g(s) for every Schur basis vector s = Y(w)
         of F_i, g a permutation of the basis letters: g commutes with every
         permutation of the slots, so g(s) = Y(g w), read off `scaled_image`
         with nothing expanded."""
-        key = (i, tuple(g))
-        acts = self._actions.get(key)
-        if acts is None:
-            schur = self.schur(i)
-            acts = []
-            for w in schur.pivots:
-                scaled = schur.scaled_image(schur.symmetrizer.row_key([g[x] for x in w]))
-                acts.append({r: _ratio(z, schur.denom) for r, z in scaled.items() if z})
-            self._actions[key] = acts
+        schur = self.schur(i)
+        acts = []
+        for w in schur.pivots:
+            scaled = schur.scaled_image(schur.symmetrizer.row_key([g[x] for x in w]))
+            acts.append({r: _ratio(z, schur.denom) for r, z in scaled.items() if z})
         return acts
 
     def letter_action_columns(self, i: int, k: int, g) -> list:
@@ -690,8 +679,8 @@ class SliceLab:
             return []
         multisets, index = self.tails(j)
         tails = [index[tuple(sorted([g[x] for x in u]))] for u in multisets]
-        n = len(multisets)
-        return _tensor_columns([[(tails, coeffs)] for coeffs in self.schur_action(i, g)], n, n)
+        acts = self.schur_action(i, tuple(g))
+        return _tensor_columns([[(tails, coeffs)] for coeffs in acts], len(multisets), len(multisets))
 
 
 # ---------------------------------------------------------------------------

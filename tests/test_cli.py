@@ -214,6 +214,13 @@ class TestOtherCommands:
             assert code == 2 and out == ""
             assert f"tensor limit {limit} is below 1" in err
 
+    def test_verify_invalid_limit_before_length_limit(self, capsys):
+        # m = 70 is also over the length limit (exit 3); invalid input wins
+        code = main(["verify", "--d", ",".join(map(str, range(71))), "--limit", "0"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert "below 1" in err
+
     def test_verify_kmax_below_d0(self, capsys):
         code = main(["verify", "--d", "0,2", "--kmax", "-3"])
         out, err = capsys.readouterr()
@@ -264,6 +271,15 @@ class TestCallOrder:
         a, b = self.SEQUENCES
         for d in (a, b, a):
             assert run(capsys, *argv, "--d", d) == fresh[d], d
+
+
+class TestHelp:
+    def test_subcommand_order(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        usage = capsys.readouterr().out.split("\n\n")[0]
+        assert "{betti,primitive,bott,scan,profile,duality,super,verify,examples}" in usage
 
 
 class TestReproduction:

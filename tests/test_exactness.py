@@ -28,7 +28,7 @@ from pureres.exactness import (
     verify_exactness,
 )
 from pureres.partitions import dim_gl, trim
-from pureres.resolutions import alpha, betti_F, hilbert_M_strips
+from pureres.resolutions import ResourceLimitError, alpha, betti_F, hilbert_M_strips
 
 from oracles import (
     SubspaceBasis,
@@ -433,6 +433,12 @@ class TestRealizeSchur:
                 realize_schur((1,), 1, limit=limit)
             assert not isinstance(info.value, DimLimitError)
 
+    def test_invalid_limit_wins_over_other_limits(self):
+        # m = 70 is over the length limit too; the invalid limit is reported
+        with pytest.raises(ValueError, match="below 1") as info:
+            SliceLab(range(71), limit=0)
+        assert not isinstance(info.value, ResourceLimitError)
+
 
 class TestDifferentials:
     def test_slice_shapes(self):
@@ -719,7 +725,7 @@ class TestCachedColumnsUnchanged:
     permutations.  None of them may modify a cached entry or add one beyond
     what the tables were filled with."""
 
-    TABLES = ("_cols", "_tails", "_merged", "_times", "_actions")
+    TABLES = ("_cols", "_images", "_tails", "_merged", "_times", "_actions")
 
     @staticmethod
     def fill(lab, k_max):
@@ -750,6 +756,12 @@ class TestCachedColumnsUnchanged:
                 for k in range(d[i], k_max + 1):
                     assert equivariance_spotcheck(d, i, k, g, lab=lab)
         assert {name: getattr(lab, name) for name in snapshot} == snapshot
+
+    def test_refused_call_is_not_remembered(self):
+        lab = SliceLab((0, 1, 3), limit=31)
+        for _ in range(2):
+            with pytest.raises(DimLimitError):
+                lab.differential_columns(1, 4)
 
     @pytest.mark.parametrize("d", CORPUS)
     def test_cached_maps_match_fresh_lab(self, d):
