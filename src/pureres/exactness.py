@@ -1,6 +1,8 @@
 """Explicit rational slice matrices of the equivariant pure complex in small
 cases, and finite certificates of d^2 = 0, graded-slice exactness,
-minimality, Hilbert-function agreement, A-linearity and equivariance.
+Hilbert-function agreement, A-linearity and equivariance, realizing no
+slice above k_max.  Minimality holds by construction: d is strictly
+increasing, so every map has positive degree.
 
 The degree-k slice of the i-th term is S_alpha(i)(E) (x) Sym^j(E) with
 dim E = m and j = k - d_i.  It lives in one ambient tensor power E^(x)N:
@@ -813,9 +815,12 @@ def verify_exactness(d, k_max: int | None = None, limit: int = DEFAULT_TENSOR_LI
     """Build every slice matrix of the complex up to k_max and certify
     d^2 = 0, exactness of each interior slice, injectivity of the last map,
     agreement of the cokernel with the strip-count Hilbert function,
-    minimality, A-linearity coherence and equivariance under a
-    transposition and an m-cycle, which generate S_m (see
-    `symmetric_generators`).
+    A-linearity coherence and equivariance under a transposition and an
+    m-cycle, which generate S_m (see `symmetric_generators`).  No slice
+    above k_max is realized.  Every failed check appends to `failures`,
+    and a verdict (a slice's ok) is true when no failure of its kind (at
+    its degree) was recorded.  `minimality_ok` is always true: d is
+    strictly increasing, so no entry of any map is a unit.
 
     Raises ValueError for d_0 < 0 (the lab realizes polynomial Schur
     modules only) and for k_max < d_0, where no slice would be checked."""
@@ -826,71 +831,50 @@ def verify_exactness(d, k_max: int | None = None, limit: int = DEFAULT_TENSOR_LI
     if k_max < d[0]:
         raise ValueError(f"k_max = {k_max} is below d_0 = {d[0]}: no slice would be checked")
     lab.guard(k_max)
-    # realize every generator slice before any rank work
+    # realize every generator slice up to k_max before any rank work
     for i in range(1, m + 1):
-        lab.differential(i, d[i])
+        if d[i] <= k_max:
+            lab.differential(i, d[i])
 
     failures = []
     slices_exact = {}
-    hf_ok = True
     for k in range(d[0], k_max + 1):
         ranks = [mat_rank(lab.differential_columns(i, k)) for i in range(1, m + 1)]
-        data = {"ranks": tuple(ranks)}
-        ok = True
+        before = len(failures)
         for i in range(1, m + 1):
             incoming = ranks[i] if i < m else 0
             if ranks[i - 1] + incoming != lab.slice_dim(i, k):
-                ok = False
                 failures.append(("exactness", i, k, ranks[i - 1], incoming))
-        coker = lab.slice_dim(0, k) - ranks[0]
-        data["coker"] = coker
-        if coker != hilbert_M_strips(d, k):
-            hf_ok = False
-            ok = False
-            failures.append(("hilbert", k, coker, hilbert_M_strips(d, k)))
-        slices_exact[k] = (ok, data)
+        coker, hf = lab.slice_dim(0, k) - ranks[0], hilbert_M_strips(d, k)
+        if coker != hf:
+            failures.append(("hilbert", k, coker, hf))
+        slices_exact[k] = (len(failures) == before, {"ranks": tuple(ranks), "coker": coker})
 
-    dsq_ok, dsq_bad = verify_dsquared(d, k_max, lab=lab)
-    failures.extend(("dsquared",) + b for b in dsq_bad)
-
-    # minimality: every term vanishes below its generator degree, so no map
-    # can have a degree-0 (invertible) block
-    minimal = all(
-        lab.slice_dim(i, k) == 0
-        for i in range(m + 1)
-        for k in range(d[0], d[i])
-    )
-
+    failures += [("dsquared",) + b for b in verify_dsquared(d, k_max, lab=lab)[1]]
     top = alpha(d, 1)[0]
-    euler_ok = all(hilbert_M_euler(d, k) == 0 for k in range(top, top + m + 1))
-    if not euler_ok:
+    if any(hilbert_M_euler(d, k) for k in range(top, top + m + 1)):
         failures.append(("euler", top))
-
-    alin_ok = True
     for i in range(1, m + 1):
         for k in range(d[0], k_max):
             if not check_a_linearity(lab, i, k):
-                alin_ok = False
                 failures.append(("alinearity", i, k))
-
-    equi_ok = True
     for g in symmetric_generators(m):
         for i in range(1, m + 1):
             k = min(d[i] + 1, k_max)
             if not equivariance_spotcheck(d, i, k, g, lab=lab):
-                equi_ok = False
                 failures.append(("equivariance", i, k, g))
 
+    failed = {f[0] for f in failures}
     return Certificate(
         d=d,
         m=m,
         k_range=(d[0], k_max),
-        dsquared_ok=dsq_ok,
+        dsquared_ok="dsquared" not in failed,
         slices_exact=slices_exact,
-        minimality_ok=minimal,
-        euler_identity_ok=euler_ok,
-        hf_match_ok=hf_ok,
-        alinearity_ok=alin_ok,
-        equivariance_ok=equi_ok,
+        minimality_ok=True,
+        euler_identity_ok="euler" not in failed,
+        hf_match_ok="hilbert" not in failed,
+        alinearity_ok="alinearity" not in failed,
+        equivariance_ok="equivariance" not in failed,
         failures=failures,
     )

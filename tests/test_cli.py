@@ -233,6 +233,13 @@ class TestOtherCommands:
         assert code == 2 and out == ""
         assert "(-1, 0, 2)" in err and "r must be non-negative" not in err
 
+    def test_verify_kmax_below_top_degree(self, capsys):
+        # the certificate reads no slice past k_max = 2, so slice degree
+        # d_3 = 5 (ambient 3^9) is not refused under --limit 729
+        code, out = run(capsys, "verify", "--d", "0,1,2,5", "--kmax", "2", "--limit", "729")
+        assert code == 0 and json.loads(out)["passed"] is True
+        assert run(capsys, "verify", "--d", "0,1,2,5", "--kmax", "2", "--limit", "100000") == (0, out)
+
     def test_examples(self, capsys):
         code, out = run(capsys, "examples")
         assert code == 0

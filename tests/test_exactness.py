@@ -846,3 +846,102 @@ class TestCertificates:
     def test_limit_bails_out(self):
         with pytest.raises(DimLimitError):
             verify_exactness((0, 9, 10, 11))
+
+    def test_kmax_below_top_degree_reads_no_slice_past_kmax(self):
+        # d_3 = 5 > k_max: map 3 is never realized, so slice degree 5 (ambient
+        # 3^9) is not refused under a limit of 3^6 that covers k_range
+        small = verify_exactness((0, 1, 2, 5), k_max=2, limit=729)
+        assert small.passed and small.k_range == (0, 2)
+        assert small == verify_exactness((0, 1, 2, 5), k_max=2, limit=10**9)
+
+
+class TestVerdictsFromFailures:
+    """Every check that fails is recorded in `failures`, and each verdict
+    of the certificate is false exactly when a failure of its kind is."""
+
+    VERDICTS = (
+        "dsquared_ok", "minimality_ok", "euler_identity_ok", "hf_match_ok",
+        "alinearity_ok", "equivariance_ok",
+    )
+
+    def assert_only(self, cert, failing):
+        for name in self.VERDICTS:
+            assert getattr(cert, name) is (name != failing), name
+        assert not cert.passed
+
+    def test_hilbert_mismatch(self, monkeypatch):
+        d = (0, 1, 2, 4)
+        strips = exactness.hilbert_M_strips
+        monkeypatch.setattr(
+            exactness, "hilbert_M_strips", lambda d, k: strips(d, k) + (k == d[0] + 1)
+        )
+        cert = verify_exactness(d)
+        assert cert.failures == [("hilbert", 1, 1, 2)]
+        self.assert_only(cert, "hf_match_ok")
+        assert [k for k, (ok, _) in cert.slices_exact.items() if not ok] == [1]
+
+    def test_euler_identity(self, monkeypatch):
+        monkeypatch.setattr(exactness, "hilbert_M_euler", lambda d, k: 1)
+        cert = verify_exactness((0, 1, 3))
+        assert cert.failures == [("euler", 2)]
+        self.assert_only(cert, "euler_identity_ok")
+        assert all(ok for ok, _ in cert.slices_exact.values())
+
+    def test_mutated_differential(self, monkeypatch):
+        mutant = TestCheapChecksCatchMutation()
+        monkeypatch.setattr(exactness, "SliceLab", lambda d, limit=None: mutant.mutated_lab())
+        cert = verify_exactness(mutant.D)
+        assert cert.failures == [
+            ("exactness", 1, 3, 10, 9),
+            ("exactness", 2, 3, 9, 1),
+            ("dsquared", 2, 3),
+            ("dsquared", 3, 3),
+            ("alinearity", 2, 2),
+            ("alinearity", 2, 3),
+            ("equivariance", 2, 3, (1, 0, 2)),
+            ("equivariance", 2, 3, (1, 2, 0)),
+        ]
+        assert not cert.passed
+        assert cert.hf_match_ok and cert.euler_identity_ok and cert.minimality_ok
+        assert not (cert.dsquared_ok or cert.alinearity_ok or cert.equivariance_ok)
+        assert [k for k, (ok, _) in cert.slices_exact.items() if not ok] == [3]
+
+    def test_a_linearity_entry_count(self):
+        # column 0 of d_2 at slice 3 is x_0 times column 0 at slice 2; one
+        # entry more makes the two columns differ in length
+        lab = SliceLab((0, 1, 2, 3))
+        assert check_a_linearity(lab, 2, 2)
+        col = lab.differential_columns(2, 3)[0]
+        col[next(r for r in range(len(col) + 1) if r not in col)] = 1
+        assert not check_a_linearity(lab, 2, 2)
+
+
+class TestLabRefusals:
+    """Invalid arguments to the lab's tables are refused, and a map that
+    vanishes at its generator slice raises ZeroMapError."""
+
+    def test_differential_index(self):
+        lab = SliceLab((0, 1, 3))
+        for i in (0, 3):
+            with pytest.raises(ValueError, match="outside 1..2"):
+                lab.differential_columns(i, 3)
+
+    def test_variable_index(self):
+        lab = SliceLab((0, 1, 3))
+        with pytest.raises(ValueError, match="outside 0..1"):
+            lab.times_var(1, 2, 2)
+
+    def test_letter_permutation(self):
+        with pytest.raises(ValueError, match="not a permutation"):
+            equivariance_spotcheck((0, 1, 2, 3), 1, 2, (0, 0, 1))
+
+    def test_vanishing_map(self, monkeypatch):
+        images = SliceLab.generator_images
+
+        def vanish(self, i):
+            return [{} for _ in self.schur(i).pivots] if i == 2 else images(self, i)
+
+        monkeypatch.setattr(SliceLab, "generator_images", vanish)
+        lab = SliceLab((0, 1, 3))
+        with pytest.raises(exactness.ZeroMapError, match="differential 2 vanished"):
+            lab.differential_columns(2, 3)

@@ -307,11 +307,14 @@ class TestHilbert:
                     assert p.socle_dim == base.socle_dim
 
     def test_strip_count_is_product_of_gaps(self):
+        # d_0 shifted by c, also below 0; no strip lies below d_0
         for e, count in (((0, 4, 5, 4), 80), ((1, 2, 3), 6), ((0, 1, 1, 3, 2), 6)):
-            d = degrees(e)
-            p = module_profile(d)
-            strips = sum(len(_strip_weights(d, k)) for k in range(d[0], p.top_degree + 1))
-            assert strips == count
+            for c in (0, -2, 3):
+                d = degrees((e[0] + c,) + e[1:])
+                p = module_profile(d)
+                assert _strip_weights(d, d[0] - 1) == []
+                strips = sum(len(_strip_weights(d, k)) for k in range(d[0] - 1, p.top_degree + 1))
+                assert strips == count, (d, c)
 
 
 @st.composite
