@@ -9,8 +9,12 @@ d_i - d_0 (their terms are defined only up to that shift).
 
 What follows from d is derived once per sequence into three parts, each
 an LRU of RECORD_SIZE entries, keyed on the checked d and holding tuples
-only: `degree_data`, `_f_terms` and `det_terms`.  A part that raises is
-not stored, and every entry point checks its own input and limits.
+only: `degree_data`, `_f_terms` and `det_terms`.  A fourth part,
+`_hilbert`, keyed on the checked d and a degree k, holds the strip-count
+Hilbert value of M(d) in degree k as an int; `module_profile` and
+`hilbert_M_strips` share it, and it holds the whole profiles (and the
+degree past the top) of RECORD_SIZE sequences.  A part that raises is not stored, and every entry point checks
+its own input and limits before it reads a part.
 
 Every resource bound goes through `check_limit`, whose ResourceLimitError
 reads "<what> = <cost> > limit <limit>".  Tuples are built from lists:
@@ -32,7 +36,6 @@ from .partitions import (
     dim_super,
     part,
     pieri_dim,
-    pieri_dims,
     pieri_expand,
     trim,
 )
@@ -558,7 +561,7 @@ def hilbert_M_strips(d, k: int) -> int:
         return 0
     strips = min(comb(k - r.d[0] + r.m - 1, r.m - 1), prod(r.e[1:])) * r.m * r.m
     check_limit("Pieri strips of degree k * m^2", strips, PROFILE_STRIP_LIMIT)
-    return pieri_dim(r.base, k - r.d[0], r.m, r.top)
+    return _hilbert(r.d, k)
 
 
 # Largest degree span top - d_0 whose Hilbert function module_profile
@@ -580,6 +583,16 @@ PROFILE_SPAN_LIMIT = 100
 PROFILE_STRIP_LIMIT = 2_000_000
 
 
+@lru_cache(maxsize=RECORD_SIZE * (PROFILE_SPAN_LIMIT + 2))
+def _hilbert(d: tuple[int, ...], k: int) -> int:
+    """The surviving strips of degree k over the base weight, summed: the
+    Hilbert value of M(d) in degree k.  Its callers have checked d, k and
+    their limits; k > top is computed (pieri_dim returns 0 at once), not
+    assumed."""
+    r = _degree_data(d)
+    return pieri_dim(r.base, k - r.d[0], r.m, r.top)
+
+
 # hf is the Hilbert function {degree: dim}
 ModuleProfile = namedtuple("ModuleProfile", "d hf top_degree socle_weight socle_dim")
 
@@ -593,9 +606,9 @@ def module_profile(d) -> ModuleProfile:
     d, e, m, top = r.d, r.e, r.m, r.top
     check_limit("module profile span top - d_0", top - d[0], PROFILE_SPAN_LIMIT)
     check_limit("module profile strips * m^2", prod(e[1:]) * m * m, PROFILE_STRIP_LIMIT)
-    # hilbert_M_strips for every k at once: one walk over the surviving
-    # strips of all sizes, 0..top - d_0, with the same cap mu_1 <= top
-    hf = dict(enumerate(pieri_dims(r.base, m, top), start=d[0]))
+    # hilbert_M_strips for every k, d_0..top, through the same record part:
+    # one pieri_dim per strip size, with the same cap mu_1 <= top
+    hf = {k: _hilbert(d, k) for k in range(d[0], top + 1)}
     top_strips = _strip_weights(d, top)
     if len(top_strips) != 1:
         raise AmbiguousSocleError(f"top degree {top} carries strips {top_strips}")

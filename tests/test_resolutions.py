@@ -21,6 +21,7 @@ from pureres.resolutions import (
     DET_DIM_LIMIT,
     PROFILE_SPAN_LIMIT,
     PROFILE_STRIP_LIMIT,
+    RECORD_SIZE,
     AmbiguousSocleError,
     NotIntegralError,
     NotOnRayError,
@@ -33,6 +34,7 @@ from pureres.resolutions import (
     betti_H_super,
     check_degrees,
     check_herzog_kuhl,
+    degree_data,
     degrees,
     det_setup,
     diffs,
@@ -474,7 +476,7 @@ RECORD_PARTS = (resolutions._degree_data, resolutions._f_terms, resolutions._det
 
 
 def clear_record():
-    for part in RECORD_PARTS:
+    for part in RECORD_PARTS + (resolutions._hilbert,):
         part.cache_clear()
 
 
@@ -566,6 +568,75 @@ class TestRecord:
         for _ in range(2):
             with pytest.raises(ResourceLimitError):
                 det_setup(wide)
+
+
+class TestHilbertPart:
+    """The record's fourth part: one strip-count Hilbert value per (d, k),
+    shared by module_profile and hilbert_M_strips."""
+
+    hilbert = staticmethod(resolutions._hilbert)
+
+    def test_profile_fills_what_strips_reads(self):
+        for d in ((0, 3, 4, 7), (-2, 0, 1, 4, 6), (3, 5, 8)):
+            clear_record()
+            p = module_profile(d)
+            misses = self.hilbert.cache_info().misses
+            for k in range(d[0], p.top_degree + 1):
+                assert hilbert_M_strips(d, k) == p.hf[k]
+            assert self.hilbert.cache_info().misses == misses, d
+            # past the top the value is computed, not assumed: one miss
+            assert hilbert_M_strips(d, p.top_degree + 1) == 0
+            assert self.hilbert.cache_info().misses == misses + 1, d
+
+    def test_holds_whole_profiles_and_stays_bounded(self):
+        assert self.hilbert.cache_info().maxsize == RECORD_SIZE * (PROFILE_SPAN_LIMIT + 2)
+        d = (0, 1, PROFILE_SPAN_LIMIT + 2)
+        clear_record()
+        p = module_profile(d)
+        assert p.top_degree - d[0] == PROFILE_SPAN_LIMIT
+        info = self.hilbert.cache_info()
+        assert info.currsize == info.misses == PROFILE_SPAN_LIMIT + 1
+        for k in range(d[0], p.top_degree + 1):
+            hilbert_M_strips(d, k)
+        assert self.hilbert.cache_info().misses == info.misses
+        for j in range(200):
+            module_profile((j % 4, j % 4 + 1 + j // 40, j % 4 + 3 + j // 40 + j % 40))
+            info = self.hilbert.cache_info()
+            assert info.currsize <= info.maxsize
+        assert all(type(v) is int for v in [hilbert_M_strips(d, k) for k in range(-1, 110)])
+
+    def test_refusals_store_nothing(self):
+        clear_record()
+        module_profile((0, 3, 4, 7))
+        before = self.hilbert.cache_info()
+        refused = [
+            lambda: hilbert_M_strips((0, 10**6, 2 * 10**6), 500_000),
+            lambda: hilbert_M_strips(tuple(range(8)) + (2**4681,), 2),
+            lambda: module_profile((0, PROFILE_SPAN_LIMIT + 2)),
+            lambda: module_profile(degrees((0, 2, 3, 3, 3, 3, 5, 5, 5, 1, 1))),
+        ]
+        for call in refused:
+            for _ in range(2):
+                with pytest.raises(ResourceLimitError):
+                    call()
+            info = self.hilbert.cache_info()
+            assert (info.currsize, info.misses) == (before.currsize, before.misses)
+
+    def test_cold_and_warm_answers_agree(self):
+        rng = random.Random(26)
+        for _ in range(60):
+            m = rng.randint(1, 5)
+            d = degrees([rng.choice((-2, 0, 3))] + [rng.randint(1, 3) for _ in range(m)])
+            top = degree_data(d).top
+            ks = range(d[0] - 1, top + 3)
+            cold = []
+            for k in ks:
+                clear_record()
+                cold.append(hilbert_M_strips(d, k))
+            clear_record()
+            warm_profile = module_profile(d)
+            assert [hilbert_M_strips(d, k) for k in ks] == cold, d
+            assert list(warm_profile.hf.values()) == cold[1:-2], d
 
 
 def one_gap(rows: int, dim_f: int, at: int) -> tuple[int, ...]:
