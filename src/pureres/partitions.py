@@ -140,6 +140,13 @@ def _weyl_quotient(num: int, m: int) -> int:
     return q
 
 
+def _times_gaps(f: int, shifted, l_i: int) -> int:
+    """f times l_a - l_i for every shifted part l_a of the rows above."""
+    for l_a in shifted:
+        f *= l_a - l_i
+    return f
+
+
 def pieri_dim(lam, e: int, m: int, cap: int) -> int:
     """Sum of dim S_mu(E), dim E = m, over the strips mu of
     pieri_expand(lam, e, m) with mu_1 <= cap; lam must be a partition with
@@ -162,9 +169,7 @@ def pieri_dim(lam, e: int, m: int, cap: int) -> int:
         for shifted, left, num in level:
             fewest = left - below_i if left > below_i else 0
             for l_i in range(base + fewest, base + (left if left < most else most) + 1):
-                f = num
-                for l_a in shifted:
-                    f *= l_a - l_i
+                f = _times_gaps(num, shifted, l_i)
                 grown.append((shifted + (l_i,), left - (l_i - base), f))
         level = grown
     base, most, last = lam[-2] + 2, room[-2], room[-1]
@@ -183,8 +188,36 @@ def pieri_dim(lam, e: int, m: int, cap: int) -> int:
 
 def pieri_dims(lam, m: int, cap: int) -> list[int]:
     """pieri_dim(lam, e, m, cap) for e = 0, ..., cap - lam_m, every strip
-    size that fits under the cap; m >= 1."""
-    return [pieri_dim(lam, e, m, cap) for e in range(cap - part(lam, m - 1) + 1)]
+    size that fits under the cap; m >= 1.
+
+    One walk over every strip under the cap, bucketed by its size: the rows
+    of a strip are independent, row i taking 0..room[i] boxes (see _rows),
+    so the rows above the last two build every prefix once, and each prefix
+    meets the last two rows through one table of factors per row: each
+    strip costs two multiplications, not a pass over the rows above."""
+    lam, room, _ = _rows(lam, m, cap)
+    if m < 2:
+        return [1] * (cap - lam[0] + 1)
+    sums = [0] * (cap - lam[-1] + 1)
+    level = [((), 0, 1)]  # (shifted parts, boxes, numerator)
+    for i in range(m - 2):
+        base, xs = lam[i] + m - i, range(room[i] + 1)
+        level = [
+            (shifted + (base + x,), size + x, _times_gaps(num, shifted, base + x))
+            for shifted, size, num in level
+            for x in xs
+        ]
+    ys = range(lam[-2] + 2, lam[-2] + 3 + room[-2])  # l_{m-2}
+    zs = range(lam[-1] + 1, lam[-1] + 2 + room[-1])  # l_{m-1}
+    for shifted, size, num in level:
+        last = [(z, _times_gaps(1, shifted, z)) for z in zs]
+        for y in ys:
+            f, at = _times_gaps(num, shifted, y), size
+            for z, h in last:
+                sums[at] += f * h * (y - z)
+                at += 1
+            size += 1
+    return [_weyl_quotient(total, m) for total in sums]
 
 
 def dim_gl(lam, m: int) -> int:

@@ -13,8 +13,13 @@ only: `degree_data`, `_f_terms` and `det_terms`.  A fourth part,
 `_hilbert`, keyed on the checked d and a degree k, holds the strip-count
 Hilbert value of M(d) in degree k as an int; `module_profile` and
 `hilbert_M_strips` share it, and it holds the whole profiles (and the
-degree past the top) of RECORD_SIZE sequences.  A part that raises is not stored, and every entry point checks
-its own input and limits before it reads a part.
+degree past the top) of RECORD_SIZE sequences.  A fifth part,
+`_hilbert_function`, an LRU of RECORD_SIZE entries keyed on the checked d,
+holds those values in degrees d_0..top as one tuple from one walk over
+every strip of M(d), or None past module_profile's limits; `_hilbert`
+reads it, and walks degree k alone only past those limits.  A part that
+raises is not stored, and every entry point checks its own input and
+limits before it reads a part.
 
 Every resource bound goes through `check_limit`, whose ResourceLimitError
 reads "<what> = <cost> > limit <limit>".  Tuples are built from lists:
@@ -36,6 +41,7 @@ from .partitions import (
     dim_super,
     part,
     pieri_dim,
+    pieri_dims,
     pieri_expand,
     trim,
 )
@@ -75,13 +81,17 @@ def check_degrees(d) -> tuple[int, ...]:
     d = tuple(d)
     if len(d) < 2:
         raise ValueError(f"degree sequence needs at least two entries: {d}")
-    for x in d:
+    out, increasing = [], True
+    for x in d:  # one pass; a non-integer is reported before a non-increase
         if not isinstance(x, int):
             raise ValueError(f"degree {x!r} in {d} is not an integer")
-    out = tuple([int(x) for x in d])
-    if any(a >= b for a, b in zip(out, out[1:])):
+        x = int(x)
+        if out and x <= out[-1]:
+            increasing = False
+        out.append(x)
+    if not increasing:
         raise ValueError(f"degree sequence must be strictly increasing: {d}")
-    return out
+    return tuple(out)
 
 
 # a checked d, its differences e, m = len(d) - 1, the base weight lambda
@@ -553,7 +563,8 @@ def hilbert_M_strips(d, k: int) -> int:
     bits of one Weyl numerator, m(m - 1)/2 * bitlen(d_m - d_0), are over
     BETTI_COST_LIMIT (at m = 1 there is no product), or when the strips of
     size k - d_0 times m^2 may be over PROFILE_STRIP_LIMIT: they are at
-    most C(k - d_0 + m - 1, m - 1), and at most prod e_i, all strips of M."""
+    most C(k - d_0 + m - 1, m - 1), and at most prod e_i, all strips of M.
+    Within module_profile's limits the value is read off its walk."""
     r = degree_data(d)
     cost = r.m * (r.m - 1) // 2 * (r.d[-1] - r.d[0]).bit_length()
     check_limit("Weyl numerator bits m(m - 1)/2 * bitlen(d_m - d_0)", cost, BETTI_COST_LIMIT)
@@ -574,23 +585,48 @@ PROFILE_SPAN_LIMIT = 100
 
 # Largest strip count times m^2 that module_profile accepts, and
 # hilbert_M_strips for the strips of one degree.  Over all degrees M(d) has
-# exactly prod_{i>=1} e_i Pieri strips, each built through m rows of up to
-# m Weyl factors.  At the limit module_profile takes 0.16-0.21 s
-# ((0,10,20,45,95), and m = 10 with every e_i in {1, 2, 5}) and
-# hilbert_M_strips up to 0.13 s (m = 40, k = d_0 + 2); m = 72 with 4096
-# strips (21e6; twelve gaps of 2, then sixty of 1) takes 4.3 s.  `tables`
-# inputs reach 6^5 * 5^2 = 194400, the CLI examples 900.
+# exactly prod_{i>=1} e_i Pieri strips, which one walk (pieri_dims) visits
+# once each, a prefix of up to m rows paying up to m Weyl factors a row.
+# On 2 vCPUs with CPython 3.11, at the limit module_profile takes about
+# 11 ms at (0,10,20,45,95), 18 ms at m = 10 with every e_i in {1, 2, 5}
+# and 70 ms at m = 40 with e = (2^10, 1^30); a first hilbert_M_strips
+# within the two profile limits pays the same walk.  Past them it walks
+# one degree, up to about 60 ms ((0, 10^6, 2 * 10^6) at k = 499,999; 40 ms
+# at m = 40 with every e_i = 3 and k = d_0 + 2).  The walk over
+# m = 72 with 4096 strips (21e6; twelve gaps of 2, then sixty of 1) takes
+# 2.2 s.  `tables` inputs reach 6^5 * 5^2 = 194400, the CLI examples 900.
 PROFILE_STRIP_LIMIT = 2_000_000
+
+
+def _profile_costs(r: DegreeData):
+    """module_profile's costs of d as (what, cost, limit), the span first:
+    past it the strips are not counted."""
+    yield "module profile span top - d_0", r.top - r.d[0], PROFILE_SPAN_LIMIT
+    yield "module profile strips * m^2", prod(r.e[1:]) * r.m * r.m, PROFILE_STRIP_LIMIT
+
+
+@lru_cache(maxsize=RECORD_SIZE)
+def _hilbert_function(d: tuple[int, ...]) -> tuple[int, ...] | None:
+    """The Hilbert values of M(d) in degrees d_0..top from one walk over all
+    its strips, or None past module_profile's limits."""
+    r = _degree_data(d)
+    if any(cost > limit for _, cost, limit in _profile_costs(r)):
+        return None
+    return tuple(pieri_dims(r.base, r.m, r.top))
 
 
 @lru_cache(maxsize=RECORD_SIZE * (PROFILE_SPAN_LIMIT + 2))
 def _hilbert(d: tuple[int, ...], k: int) -> int:
     """The surviving strips of degree k over the base weight, summed: the
     Hilbert value of M(d) in degree k.  Its callers have checked d, k and
-    their limits; k > top is computed (pieri_dim returns 0 at once), not
-    assumed."""
-    r = _degree_data(d)
-    return pieri_dim(r.base, k - r.d[0], r.m, r.top)
+    their limits.  It is read off _hilbert_function (0 past the top), or
+    past module_profile's limits walked for degree k alone, the only walk
+    that can answer there."""
+    hf = _hilbert_function(d)
+    if hf is None:
+        r = _degree_data(d)
+        return pieri_dim(r.base, k - d[0], r.m, r.top)
+    return hf[k - d[0]] if 0 <= k - d[0] < len(hf) else 0
 
 
 # hf is the Hilbert function {degree: dim}
@@ -603,11 +639,10 @@ def module_profile(d) -> ModuleProfile:
     column of full height m removed; its dimension equals the last Betti
     number (Cohen-Macaulay type)."""
     r = degree_data(d)
-    d, e, m, top = r.d, r.e, r.m, r.top
-    check_limit("module profile span top - d_0", top - d[0], PROFILE_SPAN_LIMIT)
-    check_limit("module profile strips * m^2", prod(e[1:]) * m * m, PROFILE_STRIP_LIMIT)
-    # hilbert_M_strips for every k, d_0..top, through the same record part:
-    # one pieri_dim per strip size, with the same cap mu_1 <= top
+    d, m, top = r.d, r.m, r.top
+    for what, cost, limit in _profile_costs(r):
+        check_limit(what, cost, limit)
+    # hilbert_M_strips for every k, d_0..top, through the same record part
     hf = {k: _hilbert(d, k) for k in range(d[0], top + 1)}
     top_strips = _strip_weights(d, top)
     if len(top_strips) != 1:

@@ -24,6 +24,8 @@ from pureres.partitions import (
     trim,
 )
 
+from pureres.resolutions import degree_data, degrees
+
 from oracles import brute_strips, count_ssyt, random_partition, tableau_super_dim
 
 
@@ -164,6 +166,19 @@ class TestPieriDimsOracle:
             under_cap = [mu for mu in brute_strips(lam, e, m) if part(mu, 0) <= cap]
             want = sum(dim_gl(mu, m) for mu in under_cap)
             assert (by_size[e] if e < len(by_size) else 0) == want, (lam, m, cap, e)
+
+
+class TestPieriDimsWalk:
+    def test_matches_per_degree_sums_on_table_shapes(self):
+        # the shapes of the `tables` workload, m <= 5, gaps 1..6 and d_0 from
+        # -2 to 3: at m = 5 three rows build prefixes before the last two
+        rng = random.Random(27)
+        gap_lists = [[6] * 5, [1] * 5, [6, 1, 6, 1, 6]]
+        gap_lists += [[rng.randint(1, 6) for _ in range(rng.randint(1, 5))] for _ in range(150)]
+        for gaps in gap_lists:
+            r = degree_data(degrees([rng.randint(-2, 3)] + gaps))
+            want = [pieri_dim(r.base, e, r.m, r.top) for e in range(r.top - r.d[0] + 1)]
+            assert pieri_dims(r.base, r.m, r.top) == want, r.d
 
 
 class TestPieriDimOracle:

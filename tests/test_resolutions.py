@@ -67,6 +67,21 @@ class TestDegreeData:
         with pytest.raises(ValueError):
             check_degrees(())
 
+    @pytest.mark.parametrize(
+        "d, message",
+        [
+            ((3, 1.5), "degree 1.5 in (3, 1.5) is not an integer"),
+            ((2, True), "degree sequence must be strictly increasing: (2, True)"),
+            # the non-integer is reported, though the sequence stopped increasing first
+            ((0, 0, "a"), "degree 'a' in (0, 0, 'a') is not an integer"),
+            ((5,), "degree sequence needs at least two entries: (5,)"),
+        ],
+    )
+    def test_check_degrees_messages(self, d, message):
+        with pytest.raises(ValueError) as info:
+            check_degrees(d)
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("d", [(0, 1.5, 3), (0, 1, 3.0), (Fraction(1, 2), 2), ("0", "1")])
     @pytest.mark.parametrize(
         "entry",
@@ -472,7 +487,12 @@ class TestDetSetup:
         assert peak < 10**6
 
 
-RECORD_PARTS = (resolutions._degree_data, resolutions._f_terms, resolutions._det_terms)
+RECORD_PARTS = (
+    resolutions._degree_data,
+    resolutions._f_terms,
+    resolutions._det_terms,
+    resolutions._hilbert_function,
+)
 
 
 def clear_record():
@@ -637,6 +657,39 @@ class TestHilbertPart:
             warm_profile = module_profile(d)
             assert [hilbert_M_strips(d, k) for k in ks] == cold, d
             assert list(warm_profile.hf.values()) == cold[1:-2], d
+
+
+class TestHilbertFunctionPart:
+    """The record's fifth part: the whole strip-count Hilbert function of
+    M(d) from one walk, which _hilbert reads within module_profile's
+    limits; past them _hilbert walks one degree alone."""
+
+    def test_one_step_over_the_strip_limit_answers_per_degree(self):
+        d = (0, 10, 20, 45, 96)  # strips * m^2 = 127,500 * 16 = 2,040,000
+        with pytest.raises(ResourceLimitError, match=f"> limit {PROFILE_STRIP_LIMIT}$"):
+            module_profile(d)
+        clear_record()
+        t0 = time.perf_counter()
+        got = [hilbert_M_strips(d, k) for k in range(4)]
+        assert time.perf_counter() - t0 < 0.1
+        assert resolutions._hilbert_function(d) is None
+        assert got == [hilbert_M_euler(d, k) for k in range(4)]
+        assert got == [strip_filter_hilbert(d, k) for k in range(4)]
+
+    def test_at_the_strip_limit_strips_read_the_profile(self):
+        d = (0, 10, 20, 45, 95)  # strips * m^2 = 125,000 * 16 = PROFILE_STRIP_LIMIT
+        clear_record()
+        p = module_profile(d)
+        assert resolutions._hilbert_function(d) == tuple(p.hf.values())
+        for k in range(d[0] - 1, p.top_degree + 3):
+            assert hilbert_M_strips(d, k) == p.hf.get(k, 0) == hilbert_M_euler(d, k), k
+
+    def test_holds_one_int_per_degree(self):
+        d = (0, 1, PROFILE_SPAN_LIMIT + 2)
+        clear_record()
+        hf = resolutions._hilbert_function(d)
+        assert len(hf) == PROFILE_SPAN_LIMIT + 1 and all(type(v) is int for v in hf)
+        assert resolutions._hilbert_function.cache_info().maxsize == RECORD_SIZE
 
 
 def one_gap(rows: int, dim_f: int, at: int) -> tuple[int, ...]:
