@@ -23,7 +23,6 @@ from pureres.partitions import (
     pieri_expand,
     trim,
 )
-
 from pureres.resolutions import degree_data, degrees
 
 from oracles import brute_strips, count_ssyt, random_partition, tableau_super_dim
