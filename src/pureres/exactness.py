@@ -126,6 +126,7 @@ from .resolutions import (
     degree_data,
     hilbert_M_euler,
     hilbert_M_strips,
+    int_text,
 )
 
 DEFAULT_TENSOR_LIMIT = 3**12
@@ -153,7 +154,8 @@ def _check_ambient(m: int, n: int, limit: int, what: str = "") -> None:
     if limit < 1:
         raise ValueError(f"tensor limit {limit} is below 1")
     if n >= limit.bit_length() or max(m, 2) ** n > limit:
-        raise DimLimitError(f"{what}ambient dimension {max(m, 2)}^{n} > limit {limit}")
+        dim, n, limit = int_text(max(m, 2)), int_text(n), int_text(limit)
+        raise DimLimitError(f"{what}ambient dimension {dim}^{n} > limit {limit}")
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +540,7 @@ class SliceLab:
         self._base = sum(r.base) - self.d[0]
 
     def guard(self, k: int) -> None:
-        _check_ambient(self.m, self._base + k, self.limit, f"slice degree {k} needs ")
+        _check_ambient(self.m, self._base + k, self.limit, f"slice degree {int_text(k)} needs ")
 
     def tail_degree(self, i: int, k: int) -> int:
         """j = k - d_i, the tail degree of (F_i)_k; negative below the

@@ -7,24 +7,19 @@ difference sequence e with e_0 = d_0 and e_i = d_i - d_{i-1}.  Tables of
 kind "F" carry the absolute twists d_i; tables of kind "H" carry twists
 d_i - d_0 (their terms are defined only up to that shift).
 
-What follows from d is derived once per sequence into three parts, each
+What follows from d is derived once per sequence into four parts, each
 an LRU of RECORD_SIZE entries, keyed on the checked d and holding tuples
-only: `degree_data`, `_f_terms` and `det_terms`.  A fourth part,
-`_hilbert`, keyed on the checked d and a degree k, holds the strip-count
-Hilbert value of M(d) in degree k as an int; `module_profile` and
-`hilbert_M_strips` share it, and it holds the whole profiles (and the
-degree past the top) of RECORD_SIZE sequences.  A fifth part,
-`_hilbert_function`, an LRU of RECORD_SIZE entries keyed on the checked d,
-holds those values in degrees d_0..top as one tuple from one walk over
-every strip of M(d), or None past module_profile's limits; `_hilbert`
-reads it, and walks degree k alone only past those limits.  A part that
-raises is not stored, and every entry point checks its own input and
-limits before it reads a part.
+only: `degree_data`, `_f_terms`, `det_terms` and `_hilbert_function`, the
+strip-count Hilbert function of M(d), which `module_profile` and
+`hilbert_M_strips` share.  A part that checks a limit raises before it
+computes, and a part that raises is not stored; every entry point checks
+its own input and limits before it reads a part.
 
 Every resource bound goes through `check_limit`, whose ResourceLimitError
-reads "<what> = <cost> > limit <limit>".  Tuples are built from lists:
-tuple() of a generator guesses a length and resizes, which moves a dead
-tuple onto another size's free list.
+reads "<what> = <cost> > limit <limit>", the cost as its bit length when
+it has more digits than CPython converts to a string.  Tuples are built
+from lists: tuple() of a generator guesses a length and resizes, which
+moves a dead tuple onto another size's free list.
 """
 
 from __future__ import annotations
@@ -65,10 +60,18 @@ class ResourceLimitError(Exception):
     """An input would need more time or memory than a fixed budget allows."""
 
 
+def int_text(x: int) -> str:
+    """x in decimal, or its bit length past CPython's int-to-str digit cap."""
+    try:
+        return str(x)
+    except ValueError:
+        return f"a {x.bit_length()}-bit int"
+
+
 def check_limit(what: str, cost: int, limit: int) -> None:
     """Refuse an input whose cost, named by `what`, is over its limit."""
     if cost > limit:
-        raise ResourceLimitError(f"{what} = {cost} > limit {limit}")
+        raise ResourceLimitError(f"{what} = {int_text(cost)} > limit {limit}")
 
 
 class AmbiguousSocleError(Exception):
@@ -564,7 +567,8 @@ def hilbert_M_strips(d, k: int) -> int:
     BETTI_COST_LIMIT (at m = 1 there is no product), or when the strips of
     size k - d_0 times m^2 may be over PROFILE_STRIP_LIMIT: they are at
     most C(k - d_0 + m - 1, m - 1), and at most prod e_i, all strips of M.
-    Within module_profile's limits the value is read off its walk."""
+    Within module_profile's limits it is read off the record's Hilbert
+    function, 0 past the top; past them degree k is walked alone."""
     r = degree_data(d)
     cost = r.m * (r.m - 1) // 2 * (r.d[-1] - r.d[0]).bit_length()
     check_limit("Weyl numerator bits m(m - 1)/2 * bitlen(d_m - d_0)", cost, BETTI_COST_LIMIT)
@@ -572,7 +576,11 @@ def hilbert_M_strips(d, k: int) -> int:
         return 0
     strips = min(comb(k - r.d[0] + r.m - 1, r.m - 1), prod(r.e[1:])) * r.m * r.m
     check_limit("Pieri strips of degree k * m^2", strips, PROFILE_STRIP_LIMIT)
-    return _hilbert(r.d, k)
+    try:
+        hf = _hilbert_function(r.d)
+    except ResourceLimitError:  # past module_profile's limits: degree k alone
+        return pieri_dim(r.base, k - r.d[0], r.m, r.top)
+    return hf[k - r.d[0]] if k - r.d[0] < len(hf) else 0
 
 
 # Largest degree span top - d_0 whose Hilbert function module_profile
@@ -598,35 +606,16 @@ PROFILE_SPAN_LIMIT = 100
 PROFILE_STRIP_LIMIT = 2_000_000
 
 
-def _profile_costs(r: DegreeData):
-    """module_profile's costs of d as (what, cost, limit), the span first:
-    past it the strips are not counted."""
-    yield "module profile span top - d_0", r.top - r.d[0], PROFILE_SPAN_LIMIT
-    yield "module profile strips * m^2", prod(r.e[1:]) * r.m * r.m, PROFILE_STRIP_LIMIT
-
-
 @lru_cache(maxsize=RECORD_SIZE)
-def _hilbert_function(d: tuple[int, ...]) -> tuple[int, ...] | None:
-    """The Hilbert values of M(d) in degrees d_0..top from one walk over all
-    its strips, or None past module_profile's limits."""
+def _hilbert_function(d: tuple[int, ...]) -> tuple[int, ...]:
+    """The Hilbert values of M(d) in degrees d_0..top: the surviving strips
+    of each size over the base weight, summed in one walk over all of them.
+    Refused past module_profile's limits, the span first: past it the
+    strips are not counted."""
     r = _degree_data(d)
-    if any(cost > limit for _, cost, limit in _profile_costs(r)):
-        return None
+    check_limit("module profile span top - d_0", r.top - r.d[0], PROFILE_SPAN_LIMIT)
+    check_limit("module profile strips * m^2", prod(r.e[1:]) * r.m * r.m, PROFILE_STRIP_LIMIT)
     return tuple(pieri_dims(r.base, r.m, r.top))
-
-
-@lru_cache(maxsize=RECORD_SIZE * (PROFILE_SPAN_LIMIT + 2))
-def _hilbert(d: tuple[int, ...], k: int) -> int:
-    """The surviving strips of degree k over the base weight, summed: the
-    Hilbert value of M(d) in degree k.  Its callers have checked d, k and
-    their limits.  It is read off _hilbert_function (0 past the top), or
-    past module_profile's limits walked for degree k alone, the only walk
-    that can answer there."""
-    hf = _hilbert_function(d)
-    if hf is None:
-        r = _degree_data(d)
-        return pieri_dim(r.base, k - d[0], r.m, r.top)
-    return hf[k - d[0]] if 0 <= k - d[0] < len(hf) else 0
 
 
 # hf is the Hilbert function {degree: dim}
@@ -640,10 +629,7 @@ def module_profile(d) -> ModuleProfile:
     number (Cohen-Macaulay type)."""
     r = degree_data(d)
     d, m, top = r.d, r.m, r.top
-    for what, cost, limit in _profile_costs(r):
-        check_limit(what, cost, limit)
-    # hilbert_M_strips for every k, d_0..top, through the same record part
-    hf = {k: _hilbert(d, k) for k in range(d[0], top + 1)}
+    hf = dict(zip(range(d[0], top + 1), _hilbert_function(d)))
     top_strips = _strip_weights(d, top)
     if len(top_strips) != 1:
         raise AmbiguousSocleError(f"top degree {top} carries strips {top_strips}")

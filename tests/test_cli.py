@@ -464,6 +464,13 @@ class TestHostileInputs:
         assert code == 3
         assert out == ""
 
+    def test_refusal_prints_a_cost_past_the_digit_cap_in_full(self, capsys):
+        # the library gives the bit length of a cost of more than 4300
+        # digits; the command lifts that cap, so its message keeps the number
+        assert main(["profile", "--d", "0,1" + "0" * 5000]) == 3
+        err = capsys.readouterr().err
+        assert err == "resource limit: module profile span top - d_0 = " + "9" * 5000 + " > limit 100\n"
+
     @pytest.mark.parametrize("d", ["0,1000000000", "0,1,1000000"])
     def test_huge_profile_span_is_a_resource_limit(self, capsys, d):
         code, out = run(capsys, "profile", "--d", d)

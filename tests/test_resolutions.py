@@ -1,4 +1,5 @@
 import random
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from pureres import resolutions
 from pureres.bott import det_bott_scan, scan_ranks
-from pureres.exactness import DimLimitError, SliceLab, realize_schur
+from pureres.exactness import DimLimitError, SliceLab, realize_schur, verify_exactness
 from pureres.partitions import conjugate, dim_gl, dim_super, trim
 from pureres.render import betti_to_dict, to_json
 from pureres.resolutions import (
@@ -496,7 +497,7 @@ RECORD_PARTS = (
 
 
 def clear_record():
-    for part in RECORD_PARTS + (resolutions._hilbert,):
+    for part in RECORD_PARTS:
         part.cache_clear()
 
 
@@ -591,44 +592,44 @@ class TestRecord:
 
 
 class TestHilbertPart:
-    """The record's fourth part: one strip-count Hilbert value per (d, k),
-    shared by module_profile and hilbert_M_strips."""
+    """The record's one Hilbert part: the whole strip-count Hilbert function
+    of M(d) from one walk, shared by module_profile and hilbert_M_strips;
+    past module_profile's limits hilbert_M_strips walks one degree alone."""
 
-    hilbert = staticmethod(resolutions._hilbert)
+    part = staticmethod(resolutions._hilbert_function)
 
     def test_profile_fills_what_strips_reads(self):
         for d in ((0, 3, 4, 7), (-2, 0, 1, 4, 6), (3, 5, 8)):
             clear_record()
             p = module_profile(d)
-            misses = self.hilbert.cache_info().misses
-            for k in range(d[0], p.top_degree + 1):
-                assert hilbert_M_strips(d, k) == p.hf[k]
-            assert self.hilbert.cache_info().misses == misses, d
-            # past the top the value is computed, not assumed: one miss
-            assert hilbert_M_strips(d, p.top_degree + 1) == 0
-            assert self.hilbert.cache_info().misses == misses + 1, d
+            misses = self.part.cache_info().misses
+            for k in range(d[0], p.top_degree + 2):
+                assert hilbert_M_strips(d, k) == p.hf.get(k, 0)
+            assert self.part.cache_info().misses == misses, d
 
     def test_holds_whole_profiles_and_stays_bounded(self):
-        assert self.hilbert.cache_info().maxsize == RECORD_SIZE * (PROFILE_SPAN_LIMIT + 2)
+        assert self.part.cache_info().maxsize == RECORD_SIZE
         d = (0, 1, PROFILE_SPAN_LIMIT + 2)
         clear_record()
         p = module_profile(d)
         assert p.top_degree - d[0] == PROFILE_SPAN_LIMIT
-        info = self.hilbert.cache_info()
-        assert info.currsize == info.misses == PROFILE_SPAN_LIMIT + 1
+        hf = self.part(d)
+        assert hf == tuple(p.hf.values())
+        assert len(hf) == PROFILE_SPAN_LIMIT + 1 and all(type(v) is int for v in hf)
+        info = self.part.cache_info()
+        assert info.currsize == info.misses == 1
         for k in range(d[0], p.top_degree + 1):
             hilbert_M_strips(d, k)
-        assert self.hilbert.cache_info().misses == info.misses
+        assert self.part.cache_info().misses == info.misses
         for j in range(200):
             module_profile((j % 4, j % 4 + 1 + j // 40, j % 4 + 3 + j // 40 + j % 40))
-            info = self.hilbert.cache_info()
+            info = self.part.cache_info()
             assert info.currsize <= info.maxsize
         assert all(type(v) is int for v in [hilbert_M_strips(d, k) for k in range(-1, 110)])
 
     def test_refusals_store_nothing(self):
         clear_record()
         module_profile((0, 3, 4, 7))
-        before = self.hilbert.cache_info()
         refused = [
             lambda: hilbert_M_strips((0, 10**6, 2 * 10**6), 500_000),
             lambda: hilbert_M_strips(tuple(range(8)) + (2**4681,), 2),
@@ -639,8 +640,11 @@ class TestHilbertPart:
             for _ in range(2):
                 with pytest.raises(ResourceLimitError):
                     call()
-            info = self.hilbert.cache_info()
-            assert (info.currsize, info.misses) == (before.currsize, before.misses)
+            # an LRU counts a refused call as a miss, but stores nothing
+            assert self.part.cache_info().currsize == 1
+        # past the profile limits the part refuses inside an answer
+        assert hilbert_M_strips((0, 10, 20, 45, 96), 2) == hilbert_M_euler((0, 10, 20, 45, 96), 2)
+        assert self.part.cache_info().currsize == 1
 
     def test_cold_and_warm_answers_agree(self):
         rng = random.Random(26)
@@ -658,12 +662,6 @@ class TestHilbertPart:
             assert [hilbert_M_strips(d, k) for k in ks] == cold, d
             assert list(warm_profile.hf.values()) == cold[1:-2], d
 
-
-class TestHilbertFunctionPart:
-    """The record's fifth part: the whole strip-count Hilbert function of
-    M(d) from one walk, which _hilbert reads within module_profile's
-    limits; past them _hilbert walks one degree alone."""
-
     def test_one_step_over_the_strip_limit_answers_per_degree(self):
         d = (0, 10, 20, 45, 96)  # strips * m^2 = 127,500 * 16 = 2,040,000
         with pytest.raises(ResourceLimitError, match=f"> limit {PROFILE_STRIP_LIMIT}$"):
@@ -672,7 +670,7 @@ class TestHilbertFunctionPart:
         t0 = time.perf_counter()
         got = [hilbert_M_strips(d, k) for k in range(4)]
         assert time.perf_counter() - t0 < 0.1
-        assert resolutions._hilbert_function(d) is None
+        assert self.part.cache_info().currsize == 0
         assert got == [hilbert_M_euler(d, k) for k in range(4)]
         assert got == [strip_filter_hilbert(d, k) for k in range(4)]
 
@@ -680,16 +678,28 @@ class TestHilbertFunctionPart:
         d = (0, 10, 20, 45, 95)  # strips * m^2 = 125,000 * 16 = PROFILE_STRIP_LIMIT
         clear_record()
         p = module_profile(d)
-        assert resolutions._hilbert_function(d) == tuple(p.hf.values())
+        assert self.part(d) == tuple(p.hf.values())
         for k in range(d[0] - 1, p.top_degree + 3):
             assert hilbert_M_strips(d, k) == p.hf.get(k, 0) == hilbert_M_euler(d, k), k
 
-    def test_holds_one_int_per_degree(self):
-        d = (0, 1, PROFILE_SPAN_LIMIT + 2)
+    @staticmethod
+    def refuse(*args):
+        raise AssertionError("this walk is not the one that answers here")
+
+    def test_within_the_limits_no_degree_is_walked_alone(self, monkeypatch):
+        monkeypatch.setattr(resolutions, "pieri_dim", self.refuse)
+        for d in ((0, 3, 4, 7), (0, 10, 20, 45, 95)):
+            clear_record()
+            ks = range(d[0] - 1, degree_data(d).top + 3)
+            cold = [hilbert_M_strips(d, k) for k in ks]
+            p = module_profile(d)
+            assert cold == [p.hf.get(k, 0) for k in ks] == [hilbert_M_euler(d, k) for k in ks], d
+
+    def test_past_the_limits_the_whole_function_is_not_walked(self, monkeypatch):
+        monkeypatch.setattr(resolutions, "pieri_dims", self.refuse)
+        d = (0, 10, 20, 45, 96)
         clear_record()
-        hf = resolutions._hilbert_function(d)
-        assert len(hf) == PROFILE_SPAN_LIMIT + 1 and all(type(v) is int for v in hf)
-        assert resolutions._hilbert_function.cache_info().maxsize == RECORD_SIZE
+        assert [hilbert_M_strips(d, k) for k in range(4)] == [hilbert_M_euler(d, k) for k in range(4)]
 
 
 def one_gap(rows: int, dim_f: int, at: int) -> tuple[int, ...]:
@@ -816,3 +826,40 @@ class TestBounds:
     @pytest.mark.parametrize("bound", BOUNDS)
     def test_accepted(self, bound):
         BOUNDS[bound][1]()
+
+
+# refusals whose cost has more digits than CPython converts to a string by
+# default (4300): the message gives the cost's bit length instead
+HUGE_COSTS = {
+    "profile_span": (lambda: module_profile((0, 2**200000)), ResourceLimitError),
+    "strips_of_degree_k": (
+        lambda: hilbert_M_strips((0, 1, 2**60000), 2**60000),
+        ResourceLimitError,
+    ),
+    "bott_scan": (lambda: det_bott_scan((0, 2**20000)), ResourceLimitError),
+    "lab_ambient": (lambda: verify_exactness((0, 2**20000)), DimLimitError),
+}
+
+
+@pytest.fixture
+def default_digit_cap():
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(cap)
+
+
+@pytest.mark.usefixtures("default_digit_cap")
+class TestHugeCosts:
+    @pytest.mark.parametrize("case", HUGE_COSTS)
+    def test_refused_with_the_bit_length(self, case):
+        call, error = HUGE_COSTS[case]
+        with pytest.raises(error, match=r"\ba \d+-bit int > limit \d+$") as info:
+            call()
+        assert type(info.value) is error
+
+    def test_ordinary_costs_print_in_full(self):
+        for d, cost in (((0, 1, 103), "101"), ((0, 10**4000), "9" * 4000)):
+            with pytest.raises(ResourceLimitError) as info:
+                module_profile(d)
+            assert str(info.value) == f"module profile span top - d_0 = {cost} > limit 100"
