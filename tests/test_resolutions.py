@@ -607,15 +607,19 @@ class TestHilbertPart:
                 assert hilbert_M_strips(d, k) == p.hf.get(k, 0)
             assert self.part.cache_info().misses == misses, d
 
-    def test_holds_whole_profiles_and_stays_bounded(self):
+    def test_holds_one_int_per_degree(self):
+        d = (0, 1, PROFILE_SPAN_LIMIT + 2)
+        clear_record()
+        hf = self.part(d)
+        assert len(hf) == PROFILE_SPAN_LIMIT + 1 and all(type(v) is int for v in hf)
         assert self.part.cache_info().maxsize == RECORD_SIZE
+
+    def test_holds_whole_profiles_and_stays_bounded(self):
         d = (0, 1, PROFILE_SPAN_LIMIT + 2)
         clear_record()
         p = module_profile(d)
         assert p.top_degree - d[0] == PROFILE_SPAN_LIMIT
-        hf = self.part(d)
-        assert hf == tuple(p.hf.values())
-        assert len(hf) == PROFILE_SPAN_LIMIT + 1 and all(type(v) is int for v in hf)
+        assert self.part(d) == tuple(p.hf.values())
         info = self.part.cache_info()
         assert info.currsize == info.misses == 1
         for k in range(d[0], p.top_degree + 1):
