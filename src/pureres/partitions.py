@@ -94,7 +94,8 @@ def _rows(lam, m: int, cap: int) -> tuple[tuple[int, ...], list[int], list[int]]
 def _strips(lam, e: int, m: int, cap: int) -> list[tuple[int, ...]]:
     """Every mu with at most m rows and mu_1 <= cap such that mu/lam is a
     horizontal strip of size e, in lexicographic descending order.  lam is
-    a partition with at most m nonzero parts, e >= 0, cap >= lam_1.
+    a partition with at most m nonzero parts (or a weakly decreasing weight
+    of m parts), e >= 0, cap >= lam_1.
 
     Rows are filled top to bottom, one row for all prefixes at a time.  Row
     i takes at most room[i] boxes (see _rows), and at least what the rows
@@ -117,12 +118,18 @@ def _strips(lam, e: int, m: int, cap: int) -> list[tuple[int, ...]]:
 def pieri_expand(lam, e: int, max_rows: int, cap: int | None = None) -> list[tuple[int, ...]]:
     """All mu with at most max_rows rows such that mu/lam is a horizontal
     strip of size e, in lexicographic descending order; with a cap, only
-    those with mu_1 <= cap, which are enumerated alone.
+    those with mu_1 <= cap, which are enumerated alone.  lam is a partition
+    or, as for dim_gl and the strip sums, a weakly decreasing weight of
+    exactly max_rows parts with negative parts.
 
     This is the multiplicity-free Pieri decomposition of
     S_lam(E) (x) Sym_e(E) for dim E = max_rows.
     """
-    lam = check_partition(lam)
+    lam = tuple(lam)
+    if len(lam) != max_rows or min(lam, default=0) >= 0:
+        lam = check_partition(lam)
+    elif any(a < b for a, b in zip(lam, lam[1:])):
+        raise ValueError(f"parts not weakly decreasing: {lam}")
     if len(lam) > max_rows:
         raise ValueError(f"{lam} has more than {max_rows} nonzero parts")
     top = part(lam, 0) + e

@@ -13,7 +13,7 @@ only: `degree_data`, `_f_terms`, `det_terms` and `_hilbert_function`, the
 strip-count Hilbert function of M(d), which `module_profile` and
 `hilbert_M_strips` share.  A part that checks a limit raises before it
 computes, and a part that raises is not stored; every entry point checks
-its own input and limits before it reads a part.
+its input before it reads a part, and the limits of its own work first.
 
 Every resource bound goes through `check_limit`, whose ResourceLimitError
 reads "<what> = <cost> > limit <limit>", the cost as its bit length when
@@ -269,13 +269,13 @@ BETTI_LENGTH_LIMIT = 64
 
 # Largest m^2 * bitlen(d_m - d_0) that betti_F and herzog_kuhl_primitive
 # accept, and largest m(m - 1)/2 * bitlen(d_m - d_0) that hilbert_M_strips
-# accepts: their products also grow with the size of the degrees.  At this
-# bound betti_F takes about 0.4 s at m = 64 (gaps of 2^26) and 0.07 s at
-# m = 16 (gaps of 2^508); at twice it 1.4 s and 0.23 s.  Gaps of 10^100
-# took 28 s at m = 64 and gaps of 10^4000 13 s at m = 16; at m = 30 with
-# every other gap near 2^2047, herzog_kuhl_primitive took 9 s and
-# hilbert_M_strips(d, d_0 + 2) over 20 s.  The tests, demos and benchmark
-# inputs stay below 2^15.
+# walks past module_profile's limits: their products also grow with the
+# size of the degrees.  At this bound betti_F takes about 0.4 s at m = 64
+# (gaps of 2^26) and 0.07 s at m = 16 (gaps of 2^508); at twice it 1.4 s
+# and 0.23 s.  Gaps of 10^100 took 28 s at m = 64 and gaps of 10^4000 13 s
+# at m = 16; at m = 30 with every other gap near 2^2047,
+# herzog_kuhl_primitive took 9 s and hilbert_M_strips(d, d_0 + 2) over
+# 20 s.  The tests, demos and benchmark inputs stay below 2^15.
 BETTI_COST_LIMIT = 2**17
 
 
@@ -538,47 +538,28 @@ def hilbert_M_euler(d, k: int) -> int:
     )
 
 
-def _strip_weights(d, k: int) -> list[tuple[int, ...]]:
-    """Pieri constituents of the degree-k slice of the 0-th term that survive
-    to the resolved module: strips over the base weight avoiding alpha(d,1),
-    which are those with mu_1 <= top (see hilbert_M_strips).
-
-    Every part of the base weight is at least d_0, so the strips are taken
-    over the partition lam - d_0 (1^m) and twisted back by d_0 (1^m): a
-    horizontal strip does not change under adding full columns, and d_0
-    may be negative."""
-    r = degree_data(d)
-    d0, m = r.d[0], r.m
-    if k < d0:
-        return []
-    return [
-        trim([x + d0 for x in mu + (0,) * (m - len(mu))])
-        for mu in pieri_expand([x - d0 for x in r.base], k - d0, m, cap=r.top - d0)
-    ]
-
-
 def hilbert_M_strips(d, k: int) -> int:
     """Hilbert function of the resolved module by direct representation
     bookkeeping: sum of dim S_mu(E) over the surviving Pieri strips.  Every
     strip mu contains the base weight lam, so mu contains alpha(d, 1)
     exactly when mu_1 >= lam_1 + e_1; the survivors are the strips with
-    mu_1 <= top = lam_1 + e_1 - 1.  Refused before any product when the
-    bits of one Weyl numerator, m(m - 1)/2 * bitlen(d_m - d_0), are over
+    mu_1 <= top = lam_1 + e_1 - 1.  Within module_profile's limits it is
+    read off the record's Hilbert function, 0 past the top.  Past them
+    degree k is walked alone, refused before any product when the bits of
+    one Weyl numerator, m(m - 1)/2 * bitlen(d_m - d_0), are over
     BETTI_COST_LIMIT (at m = 1 there is no product), or when the strips of
     size k - d_0 times m^2 may be over PROFILE_STRIP_LIMIT: they are at
-    most C(k - d_0 + m - 1, m - 1), and at most prod e_i, all strips of M.
-    Within module_profile's limits it is read off the record's Hilbert
-    function, 0 past the top; past them degree k is walked alone."""
+    most C(k - d_0 + m - 1, m - 1), and at most prod e_i, all strips of M."""
     r = degree_data(d)
-    cost = r.m * (r.m - 1) // 2 * (r.d[-1] - r.d[0]).bit_length()
-    check_limit("Weyl numerator bits m(m - 1)/2 * bitlen(d_m - d_0)", cost, BETTI_COST_LIMIT)
     if k < r.d[0]:
         return 0
-    strips = min(comb(k - r.d[0] + r.m - 1, r.m - 1), prod(r.e[1:])) * r.m * r.m
-    check_limit("Pieri strips of degree k * m^2", strips, PROFILE_STRIP_LIMIT)
     try:
         hf = _hilbert_function(r.d)
     except ResourceLimitError:  # past module_profile's limits: degree k alone
+        cost = r.m * (r.m - 1) // 2 * (r.d[-1] - r.d[0]).bit_length()
+        check_limit("Weyl numerator bits m(m - 1)/2 * bitlen(d_m - d_0)", cost, BETTI_COST_LIMIT)
+        strips = min(comb(k - r.d[0] + r.m - 1, r.m - 1), prod(r.e[1:])) * r.m * r.m
+        check_limit("Pieri strips of degree k * m^2", strips, PROFILE_STRIP_LIMIT)
         return pieri_dim(r.base, k - r.d[0], r.m, r.top)
     return hf[k - r.d[0]] if k - r.d[0] < len(hf) else 0
 
@@ -591,18 +572,18 @@ def hilbert_M_strips(d, k: int) -> int:
 # rays 4 to 6.
 PROFILE_SPAN_LIMIT = 100
 
-# Largest strip count times m^2 that module_profile accepts, and
-# hilbert_M_strips for the strips of one degree.  Over all degrees M(d) has
-# exactly prod_{i>=1} e_i Pieri strips, which one walk (pieri_dims) visits
-# once each, a prefix of up to m rows paying up to m Weyl factors a row.
-# On 2 vCPUs with CPython 3.11, at the limit module_profile takes about
-# 11 ms at (0,10,20,45,95), 18 ms at m = 10 with every e_i in {1, 2, 5}
-# and 70 ms at m = 40 with e = (2^10, 1^30); a first hilbert_M_strips
-# within the two profile limits pays the same walk.  Past them it walks
-# one degree, up to about 60 ms ((0, 10^6, 2 * 10^6) at k = 499,999; 40 ms
-# at m = 40 with every e_i = 3 and k = d_0 + 2).  The walk over
-# m = 72 with 4096 strips (21e6; twelve gaps of 2, then sixty of 1) takes
-# 2.2 s.  `tables` inputs reach 6^5 * 5^2 = 194400, the CLI examples 900.
+# Largest strip count times m^2 that module_profile accepts, and, past its
+# limits, hilbert_M_strips for the strips of one degree.  Over all degrees
+# M(d) has exactly prod_{i>=1} e_i Pieri strips, which one walk (pieri_dims)
+# visits once each, a prefix of up to m rows paying up to m Weyl factors a
+# row.  On 2 vCPUs with CPython 3.11, at the limit module_profile takes about
+# 11 ms at (0,10,20,45,95), 18 ms at m = 10 with every e_i in {1, 2, 5} and
+# 70 ms at m = 40 with e = (2^10, 1^30); a first hilbert_M_strips within the
+# two profile limits pays the same walk.  Past them it walks one degree, up
+# to about 60 ms ((0, 10^6, 2 * 10^6) at k = 499,999; 40 ms at m = 40 with
+# every e_i = 3 and k = d_0 + 2).  The walk over m = 72 with 4096 strips
+# (21e6; twelve gaps of 2, then sixty of 1) takes 2.2 s.  `tables` inputs
+# reach 6^5 * 5^2 = 194400, the CLI examples 900.
 PROFILE_STRIP_LIMIT = 2_000_000
 
 
@@ -630,7 +611,7 @@ def module_profile(d) -> ModuleProfile:
     r = degree_data(d)
     d, m, top = r.d, r.m, r.top
     hf = dict(zip(range(d[0], top + 1), _hilbert_function(d)))
-    top_strips = _strip_weights(d, top)
+    top_strips = pieri_expand(r.base, top - d[0], m, cap=top)
     if len(top_strips) != 1:
         raise AmbiguousSocleError(f"top degree {top} carries strips {top_strips}")
     socle = top_strips[0]

@@ -105,6 +105,14 @@ class TestPieri:
         with pytest.raises(ValueError):
             pieri_expand((1, 1, 1), 1, 2)
 
+    def test_weight_goldens_and_refusals(self):
+        # a weight of max_rows parts may go negative; its strips are trimmed
+        assert pieri_expand((1, -1), 1, 2) == [(2, -1), (1,)]
+        with pytest.raises(ValueError, match="not weakly decreasing"):
+            pieri_expand((1, 2), 1, 2)
+        with pytest.raises(ValueError, match="negative part"):
+            pieri_expand((2, -1), 1, 3)
+
     def test_sums_reject_too_long(self):
         # the sums read lam as m rows, so a longer lam must not be cut short
         with pytest.raises(ValueError, match="more than 1 nonzero parts"):
@@ -150,6 +158,24 @@ class TestPieriOracle:
         m = max(min(len(lam) + extra_rows, 4), 1)
         full = pieri_expand(lam, e, m)
         assert pieri_expand(lam, e, m, cap=cap) == [mu for mu in full if part(mu, 0) <= cap]
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(
+        partitions(4, 4),
+        st.integers(-1, 5),
+        st.integers(0, 2),
+        st.integers(-2, 10),
+        st.sampled_from((-3, -2, -1)),
+    )
+    def test_shifted_weight_shifts_strips(self, lam, e, extra_rows, cap, c):
+        # taking c full columns off lam (c < 0) takes them off every strip
+        m = max(min(len(lam) + extra_rows, 4), 1)
+        padded = lam + (0,) * (m - len(lam))
+        shifted = [
+            trim([x + c for x in mu + (0,) * (m - len(mu))])
+            for mu in pieri_expand(lam, e, m, cap=cap)
+        ]
+        assert pieri_expand([x + c for x in padded], e, m, cap=cap + c) == shifted
 
 
 class TestPieriDimsOracle:

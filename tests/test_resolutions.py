@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from pureres import resolutions
 from pureres.bott import det_bott_scan, scan_ranks
 from pureres.exactness import DimLimitError, SliceLab, realize_schur, verify_exactness
-from pureres.partitions import conjugate, dim_gl, dim_super, trim
+from pureres.partitions import conjugate, dim_gl, dim_super, pieri_expand, trim
 from pureres.render import betti_to_dict, to_json
 from pureres.resolutions import (
     BETTI_COST_LIMIT,
@@ -47,7 +47,6 @@ from pureres.resolutions import (
     module_profile,
     multiple_of_primitive,
     super_degree_data,
-    _strip_weights,
 )
 
 from oracles import random_degrees, strip_filter_hilbert
@@ -330,15 +329,19 @@ class TestHilbert:
             for c in (0, -2, 3):
                 d = degrees((e[0] + c,) + e[1:])
                 p = module_profile(d)
-                assert _strip_weights(d, d[0] - 1) == []
-                strips = sum(len(_strip_weights(d, k)) for k in range(d[0] - 1, p.top_degree + 1))
+                r = degree_data(d)
+                assert pieri_expand(r.base, -1, r.m, cap=r.top) == []
+                strips = sum(
+                    len(pieri_expand(r.base, k - d[0], r.m, cap=r.top))
+                    for k in range(d[0] - 1, p.top_degree + 1)
+                )
                 assert strips == count, (d, c)
 
 
 @st.composite
 def degree_sequences(draw):
     gaps = draw(st.lists(st.integers(1, 5), min_size=1, max_size=4))
-    return degrees([draw(st.integers(0, 3))] + gaps)
+    return degrees([draw(st.integers(-3, 3))] + gaps)
 
 
 class TestHilbertOracle:
@@ -649,6 +652,17 @@ class TestHilbertPart:
         # past the profile limits the part refuses inside an answer
         assert hilbert_M_strips((0, 10, 20, 45, 96), 2) == hilbert_M_euler((0, 10, 20, 45, 96), 2)
         assert self.part.cache_info().currsize == 1
+
+    def test_limits_bound_only_the_walk_of_one_degree(self):
+        # m = 200 unit gaps: Weyl numerator bits 19,900 * 8 = 159,200 are over
+        # BETTI_COST_LIMIT, but the part answers and no degree is walked
+        d, ks = tuple(range(201)), range(-1, 3)
+        hf = module_profile(d).hf
+        assert [hilbert_M_strips(d, k) for k in ks] == [hf.get(k, 0) for k in ks] == [0, 1, 0, 0]
+        # below d_0 nothing is walked, so nothing is refused
+        t0 = time.perf_counter()
+        assert hilbert_M_strips(tuple(range(8)) + (2**4681,), -1) == 0
+        assert time.perf_counter() - t0 < 0.1
 
     def test_cold_and_warm_answers_agree(self):
         rng = random.Random(26)
