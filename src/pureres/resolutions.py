@@ -13,7 +13,7 @@ only: `degree_data`, `_f_terms`, `det_terms` and `_hilbert_function`, the
 strip-count Hilbert function of M(d), which `module_profile` and
 `hilbert_M_strips` share.  A part that checks a limit raises before it
 computes, and a part that raises is not stored; every entry point checks
-its input before it reads a part, and the limits of its own work first.
+its input before it reads a part, and each limit before the work it bounds.
 
 Every resource bound goes through `check_limit`, whose ResourceLimitError
 reads "<what> = <cost> > limit <limit>", the cost as its bit length when
@@ -269,13 +269,13 @@ BETTI_LENGTH_LIMIT = 64
 
 # Largest m^2 * bitlen(d_m - d_0) that betti_F and herzog_kuhl_primitive
 # accept, and largest m(m - 1)/2 * bitlen(d_m - d_0) that hilbert_M_strips
-# walks past module_profile's limits: their products also grow with the
-# size of the degrees.  At this bound betti_F takes about 0.4 s at m = 64
-# (gaps of 2^26) and 0.07 s at m = 16 (gaps of 2^508); at twice it 1.4 s
-# and 0.23 s.  Gaps of 10^100 took 28 s at m = 64 and gaps of 10^4000 13 s
-# at m = 16; at m = 30 with every other gap near 2^2047,
-# herzog_kuhl_primitive took 9 s and hilbert_M_strips(d, d_0 + 2) over
-# 20 s.  The tests, demos and benchmark inputs stay below 2^15.
+# accepts: their products also grow with the size of the degrees.  At this
+# bound betti_F takes about 0.4 s at m = 64 (gaps of 2^26) and 0.07 s at
+# m = 16 (gaps of 2^508); at twice it 1.4 s and 0.23 s.  Gaps of 10^100
+# took 28 s at m = 64 and gaps of 10^4000 13 s at m = 16; at m = 30 with
+# every other gap near 2^2047, herzog_kuhl_primitive took 9 s and
+# hilbert_M_strips(d, d_0 + 2) over 20 s.  The tests, demos and benchmark
+# inputs stay below 2^15.
 BETTI_COST_LIMIT = 2**17
 
 
@@ -543,21 +543,21 @@ def hilbert_M_strips(d, k: int) -> int:
     bookkeeping: sum of dim S_mu(E) over the surviving Pieri strips.  Every
     strip mu contains the base weight lam, so mu contains alpha(d, 1)
     exactly when mu_1 >= lam_1 + e_1; the survivors are the strips with
-    mu_1 <= top = lam_1 + e_1 - 1.  Within module_profile's limits it is
-    read off the record's Hilbert function, 0 past the top.  Past them
-    degree k is walked alone, refused before any product when the bits of
-    one Weyl numerator, m(m - 1)/2 * bitlen(d_m - d_0), are over
-    BETTI_COST_LIMIT (at m = 1 there is no product), or when the strips of
-    size k - d_0 times m^2 may be over PROFILE_STRIP_LIMIT: they are at
-    most C(k - d_0 + m - 1, m - 1), and at most prod e_i, all strips of M."""
+    mu_1 <= top = lam_1 + e_1 - 1.  0 below d_0; else refused before any
+    product when the bits of one Weyl numerator, m(m - 1)/2 *
+    bitlen(d_m - d_0), are over BETTI_COST_LIMIT (at m = 1 there is no
+    product).  Within module_profile's limits it is read off the record's
+    Hilbert function, 0 past the top.  Past them degree k is walked alone,
+    refused when the strips of size k - d_0 times m^2 may be over
+    PROFILE_STRIP_LIMIT: at most C(k - d_0 + m - 1, m - 1) and prod e_i."""
     r = degree_data(d)
     if k < r.d[0]:
         return 0
+    cost = r.m * (r.m - 1) // 2 * (r.d[-1] - r.d[0]).bit_length()
+    check_limit("Weyl numerator bits m(m - 1)/2 * bitlen(d_m - d_0)", cost, BETTI_COST_LIMIT)
     try:
         hf = _hilbert_function(r.d)
     except ResourceLimitError:  # past module_profile's limits: degree k alone
-        cost = r.m * (r.m - 1) // 2 * (r.d[-1] - r.d[0]).bit_length()
-        check_limit("Weyl numerator bits m(m - 1)/2 * bitlen(d_m - d_0)", cost, BETTI_COST_LIMIT)
         strips = min(comb(k - r.d[0] + r.m - 1, r.m - 1), prod(r.e[1:])) * r.m * r.m
         check_limit("Pieri strips of degree k * m^2", strips, PROFILE_STRIP_LIMIT)
         return pieri_dim(r.base, k - r.d[0], r.m, r.top)

@@ -653,12 +653,16 @@ class TestHilbertPart:
         assert hilbert_M_strips((0, 10, 20, 45, 96), 2) == hilbert_M_euler((0, 10, 20, 45, 96), 2)
         assert self.part.cache_info().currsize == 1
 
-    def test_limits_bound_only_the_walk_of_one_degree(self):
-        # m = 200 unit gaps: Weyl numerator bits 19,900 * 8 = 159,200 are over
-        # BETTI_COST_LIMIT, but the part answers and no degree is walked
-        d, ks = tuple(range(201)), range(-1, 3)
-        hf = module_profile(d).hf
-        assert [hilbert_M_strips(d, k) for k in ks] == [hf.get(k, 0) for k in ks] == [0, 1, 0, 0]
+    def test_bits_refused_before_the_part_and_nothing_below_d0(self):
+        # m = 1414 unit gaps pass both part limits (span 0, strips * m^2 =
+        # 1,999,396), but the part's walk would multiply Weyl numerators of
+        # millions of bits: 999,691 * 1 > BETTI_COST_LIMIT refuses it first
+        clear_record()
+        t0 = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match="Weyl numerator bits"):
+            hilbert_M_strips(tuple(range(1415)), 0)
+        assert time.perf_counter() - t0 < 0.1
+        assert self.part.cache_info().misses == 0
         # below d_0 nothing is walked, so nothing is refused
         t0 = time.perf_counter()
         assert hilbert_M_strips(tuple(range(8)) + (2**4681,), -1) == 0
