@@ -146,7 +146,7 @@ class ZeroMapError(Exception):
     """A differential vanished at its generator slice (implementation bug)."""
 
 
-def _check_ambient(m: int, n: int, limit: int, what: str = "") -> None:
+def _check_ambient(m: int, n: int, limit: int) -> None:
     """Refuse max(m, 2)^n over limit, the size of the ambient E^(x)n (for
     m = 1 it is 1 at any n, while the words still have n letters).  2^n >
     limit once n >= limit.bit_length(), so a huge n is refused without its
@@ -155,7 +155,7 @@ def _check_ambient(m: int, n: int, limit: int, what: str = "") -> None:
         raise ValueError(f"tensor limit {limit} is below 1")
     if n >= limit.bit_length() or max(m, 2) ** n > limit:
         dim, n, limit = int_text(max(m, 2)), int_text(n), int_text(limit)
-        raise DimLimitError(f"{what}ambient dimension {dim}^{n} > limit {limit}")
+        raise DimLimitError(f"ambient dimension {dim}^{n} > limit {limit}")
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +540,10 @@ class SliceLab:
         self._base = sum(r.base) - self.d[0]
 
     def guard(self, k: int) -> None:
-        _check_ambient(self.m, self._base + k, self.limit, f"slice degree {int_text(k)} needs ")
+        try:
+            _check_ambient(self.m, self._base + k, self.limit)
+        except DimLimitError as exc:  # the message is built only on refusal
+            raise DimLimitError(f"slice degree {int_text(k)} needs {exc}") from None
 
     def tail_degree(self, i: int, k: int) -> int:
         """j = k - d_i, the tail degree of (F_i)_k; negative below the

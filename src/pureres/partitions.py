@@ -8,7 +8,7 @@ arithmetic is exact; no floats anywhere.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb, factorial, prod
+from math import comb, factorial, gcd, perm, prod
 
 
 def trim(parts) -> tuple[int, ...]:
@@ -197,51 +197,88 @@ def pieri_dims(lam, m: int, cap: int) -> list[int]:
     """pieri_dim(lam, e, m, cap) for e = 0, ..., cap - lam_m, every strip
     size that fits under the cap; m >= 1.
 
-    One walk over every strip under the cap, bucketed by its size: the rows
-    of a strip are independent, row i taking 0..room[i] boxes (see _rows),
-    so the rows above the last two build every prefix once, and each prefix
-    meets the last two rows through one table of factors per row: each
-    strip costs two multiplications, not a pass over the rows above."""
-    lam, room, _ = _rows(lam, m, cap)
-    if m < 2:
-        return [1] * (cap - lam[0] + 1)
-    sums = [0] * (cap - lam[-1] + 1)
-    level = [((), 0, 1)]  # (shifted parts, boxes, numerator)
-    for i in range(m - 2):
-        base, xs = lam[i] + m - i, range(room[i] + 1)
-        level = [
-            (shifted + (base + x,), size + x, _times_gaps(num, shifted, base + x))
-            for shifted, size, num in level
-            for x in xs
-        ]
-    ys = range(lam[-2] + 2, lam[-2] + 3 + room[-2])  # l_{m-2}
-    zs = range(lam[-1] + 1, lam[-1] + 2 + room[-1])  # l_{m-1}
-    for shifted, size, num in level:
-        last = [(z, _times_gaps(1, shifted, z)) for z in zs]
-        for y in ys:
-            f, at = _times_gaps(num, shifted, y), size
-            for z, h in last:
-                sums[at] += f * h * (y - z)
-                at += 1
-            size += 1
-    return [_weyl_quotient(total, m) for total in sums]
+    One packed integer determinant.  Row a of a strip takes x_a in
+    0..room_a boxes (see _rows), independently of the other rows, and its
+    shifted part is y_a = l_a + x_a, l_a = lam_a - lam_m + m - 1 - a.  The
+    Weyl numerator prod_{a<b} (y_a - y_b) is the Vandermonde det
+    y_a^(m-1-b), and a determinant is linear in each row, so the sum of
+    t^|x| times it over all strips is det sum_x t^x y_a^(m-1-b).  The rows
+    with room 0 (C) are constant: their pairs give the constant
+    prod (l_c - l_c'), and each of the r other rows a takes the factor
+    w_a(x_a) = prod_{c in C} |y_a - l_c| of its pairs with C, divided by
+    g_a, the gcd of w_a over x_a, which joins the constant.  What is left
+    is the r x r det sum_x t^x w_a(x) / g_a * y_a^(r-1-b), not one of size
+    m with entries of degree m - 1 in y.
+
+    It is evaluated at t = T = 2^B and read off in base T.  The shifted
+    parts of a strip strictly decrease, so the coefficient of t^e is a sum
+    of at most prod(room_a + 1) terms prod_a w_a / g_a * prod_{a<b}
+    (y_a - y_b) over the strips of size e, none negative, each at most
+    prod_a max(w_a / g_a) * span^(r(r-1)/2), where span = l_0 + room_0 is
+    the largest difference of two shifted parts.  B = bitlen(prod(room_a + 1)) + sum_a bitlen(max(w_a /
+    g_a)) + r(r-1)/2 * bitlen(span) bounds them all, so every base-T
+    digit of the determinant is its coefficient exactly."""
+    lam, room, below = _rows(lam, m, cap)
+    if room[0] < 0:
+        return [0] * (cap - lam[-1] + 1)
+    shifted = [x + m - 1 - a for a, x in enumerate(below)]
+    fixed = [y for y, x in zip(shifted, room) if not x]
+    r, span = m - len(fixed), shifted[0] + room[0]
+    common, rows = _weyl_numerator(fixed), []
+    bits = prod(x + 1 for x in room).bit_length() + r * (r - 1) // 2 * span.bit_length()
+    for y0, most in zip(shifted, room):
+        if most:
+            ys = range(y0 + most, y0 - 1, -1)  # the highest power of T first
+            ws = [abs(prod([y - c for c in fixed])) for y in ys]
+            g = gcd(*ws)
+            common *= g
+            ws = [w // g for w in ws]
+            bits += max(ws).bit_length()
+            rows.append((ys, ws))
+    mat = []
+    for ys, ws in rows:
+        row = [0] * r
+        for y, f in zip(ys, ws):
+            for b in range(r - 1, -1, -1):
+                row[b] = (row[b] << bits) + f
+                f *= y
+        mat.append(row)
+    packed, mask = _int_det(mat), (1 << bits) - 1
+    return [_weyl_quotient(common * (packed >> bits * e & mask), m) for e in range(sum(room) + 1)]
+
+
+def _dim_by_columns(lam, m: int) -> int:
+    """dim S_lam(E), dim E = m, by the hook-content formula over the w
+    columns of the partition lam: the contents of column c give
+    perm(m + c, lam'_c), and the hook lengths prod l_a! / prod_{a<b}
+    (l_a - l_b) with l_a = lam'_a + w - 1 - a: w(w - 1)/2 differences,
+    while perm and factorial multiply one factor per box in C."""
+    cols = conjugate(lam)
+    shifted = [x + len(cols) - 1 - a for a, x in enumerate(cols)]
+    num = prod([perm(m + c, x) for c, x in enumerate(cols)]) * _weyl_numerator(shifted)
+    return num // prod([factorial(x) for x in shifted])
 
 
 def dim_gl(lam, m: int) -> int:
-    """dim S_lam(E) for dim E = m, by the Weyl dimension formula.
+    """dim S_lam(E) for dim E = m.
 
-    Accepts any weakly decreasing integer sequence of length <= m (negative
-    parts allowed, interpreted via determinant twists); a partition with more
-    than m nonzero parts gives 0.
+    Accepts a partition, or a weakly decreasing integer weight of exactly m
+    parts with negative parts (interpreted via determinant twists); a
+    partition with more than m nonzero parts gives 0.  A partition with
+    fewer columns than nonzero rows is counted by its columns
+    (_dim_by_columns), any other weight by the Weyl dimension formula, a
+    product over all m rows.
     """
     lam = tuple(lam)
     if lam and min(lam) < 0:
-        if len(lam) > m:
-            raise ValueError(f"weight {lam} longer than dimension {m}")
+        if len(lam) != m:
+            raise ValueError(f"weight {lam} with a negative part needs exactly {m} parts")
     else:
         lam = trim(lam)
         if len(lam) > m:
             return 0
+        if lam and lam[0] < len(lam):
+            return _dim_by_columns(lam, m)
     shifted = [x + m - i for i, x in enumerate(lam)] + list(range(m - len(lam), 0, -1))
     return _weyl_quotient(_weyl_numerator(shifted), m)
 

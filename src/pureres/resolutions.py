@@ -573,24 +573,27 @@ def hilbert_M_strips(d, k: int) -> int:
 PROFILE_SPAN_LIMIT = 100
 
 # Largest strip count times m^2 that module_profile accepts, and, past its
-# limits, hilbert_M_strips for the strips of one degree.  Over all degrees
-# M(d) has exactly prod_{i>=1} e_i Pieri strips, which one walk (pieri_dims)
-# visits once each, a prefix of up to m rows paying up to m Weyl factors a
-# row.  On 2 vCPUs with CPython 3.11, at the limit module_profile takes about
-# 11 ms at (0,10,20,45,95), 18 ms at m = 10 with every e_i in {1, 2, 5} and
-# 70 ms at m = 40 with e = (2^10, 1^30); a first hilbert_M_strips within the
-# two profile limits pays the same walk.  Past them it walks one degree, up
-# to about 60 ms ((0, 10^6, 2 * 10^6) at k = 499,999; 40 ms at m = 40 with
-# every e_i = 3 and k = d_0 + 2).  The walk over m = 72 with 4096 strips
-# (21e6; twelve gaps of 2, then sixty of 1) takes 2.2 s.  `tables` inputs
-# reach 6^5 * 5^2 = 194400, the CLI examples 900.
+# limits, hilbert_M_strips for the strips of one degree.  M(d) has exactly
+# prod_{i>=1} e_i Pieri strips, and pieri_dims sums them as one determinant
+# with a row for each of the r gaps e_i > 1.  Since 2^r * r^2 <= prod e_i *
+# m^2, the limit keeps r <= 13 and m <= 1414; m sets the Weyl factors.  On
+# 2 vCPUs with CPython 3.11, module_profile takes about 0.3 ms at
+# (0,10,20,45,95) and 1.3 ms at m = 10 with every e_i in {1, 2, 5} (both at
+# the limit), 2.3 ms at m = 40 with e = (2^10, 1^30), 10 ms at m = 13 with
+# every e_i = 2 (r = 13) and 65 ms at range(201), 200 rows with room 0; a
+# first hilbert_M_strips within the two profile limits pays the same
+# determinant.  Past them it walks one degree, up to about 60 ms
+# ((0, 10^6, 2 * 10^6) at k = 499,999; 45 ms at m = 40 with every e_i = 3
+# and k = d_0 + 2).  Over the limit, m = 20 with every e_i = 2 (4e8) takes
+# 0.5 s.  `tables` inputs reach 6^5 * 5^2 = 194400, the CLI examples 900.
 PROFILE_STRIP_LIMIT = 2_000_000
 
 
 @lru_cache(maxsize=RECORD_SIZE)
 def _hilbert_function(d: tuple[int, ...]) -> tuple[int, ...]:
     """The Hilbert values of M(d) in degrees d_0..top: the surviving strips
-    of each size over the base weight, summed in one walk over all of them.
+    of each size over the base weight, all summed by one determinant
+    (pieri_dims).
     Refused past module_profile's limits, the span first: past it the
     strips are not counted."""
     r = _degree_data(d)

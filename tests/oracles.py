@@ -1,6 +1,7 @@
 """Independent brute-force oracles used by the tests: semistandard tableau
 enumeration for (skew) Schur module dimensions, kept deliberately separate
-from the library's formulas, horizontal strips by search over a box, the
+from the library's formulas, the Weyl product over every pair of rows,
+horizontal strips by search over a box, the
 strip-filter form of the Hilbert function and the tableau form of super
 dimensions, dense Gauss-Jordan rank, a Fraction Gauss-Jordan inverse and
 dense matrix helpers, an echelonized subspace basis with coordinates, the
@@ -56,6 +57,20 @@ def count_ssyt(outer, inner, n: int) -> int:
         return total
 
     return fill(0)
+
+
+def weyl_dim(lam, m: int) -> int:
+    """dim S_lam(C^m) by the Weyl dimension formula, every pair of the m
+    rows at once: prod_{a<b} (lam_a - lam_b + b - a) over prod_{a<b} (b - a),
+    lam padded with zeros to m rows."""
+    lam = tuple(lam) + (0,) * (m - len(lam))
+    num = den = 1
+    for a in range(m):
+        for b in range(a + 1, m):
+            num *= lam[a] - lam[b] + b - a
+            den *= b - a
+    assert num % den == 0
+    return num // den
 
 
 def brute_strips(lam, e: int, m: int) -> list:

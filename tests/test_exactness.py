@@ -945,3 +945,17 @@ class TestLabRefusals:
         lab = SliceLab((0, 1, 3))
         with pytest.raises(exactness.ZeroMapError, match="differential 2 vanished"):
             lab.differential_columns(2, 3)
+
+    def test_guard_formats_its_message_only_on_refusal(self, monkeypatch):
+        texts = []
+
+        def counted(x):
+            texts.append(x)
+            return str(x)
+
+        monkeypatch.setattr(exactness, "int_text", counted)
+        assert verify_exactness((0, 1, 3)).passed
+        assert texts == []
+        with pytest.raises(DimLimitError) as info:
+            SliceLab((0, 1, 3), limit=31).guard(4)
+        assert str(info.value) == "slice degree 4 needs ambient dimension 2^5 > limit 31"

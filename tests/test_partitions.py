@@ -2,7 +2,7 @@ import gc
 import random
 import time
 from itertools import product
-from math import comb
+from math import comb, prod
 
 import pytest
 from hypothesis import given, settings
@@ -23,9 +23,16 @@ from pureres.partitions import (
     pieri_expand,
     trim,
 )
-from pureres.resolutions import degree_data, degrees
+from pureres.resolutions import degree_data, degrees, det_terms
 
-from oracles import brute_strips, count_ssyt, random_partition, tableau_super_dim
+from oracles import (
+    brute_strips,
+    count_ssyt,
+    random_partition,
+    strip_filter_hilbert,
+    tableau_super_dim,
+    weyl_dim,
+)
 
 
 def partitions(max_part: int, max_len: int):
@@ -206,6 +213,48 @@ class TestPieriDimsWalk:
             assert pieri_dims(r.base, r.m, r.top) == want, r.d
 
 
+class TestPieriDimsDeterminant:
+    """pieri_dims is one determinant over the rows with room; the rows with
+    none (gaps e_i = 1) are factored out wherever they sit."""
+
+    GAPS = (
+        [1] * 6 + [2] * 6,  # room-0 rows first
+        [2] * 6 + [1] * 6,  # and last
+        [1, 2] * 6,  # and interleaved
+        [3, 1, 1, 2, 1, 3, 1, 1, 2, 1, 1, 2],
+        [1] * 11 + [4],
+        [5] + [1] * 11,
+        [1, 1, 1, 1, 1, 1, 1],
+        [4, 1, 6, 1, 2],
+        [2, 6, 6],
+    )
+
+    def test_matches_walk_and_strip_filter(self):
+        for gaps in self.GAPS:
+            for d0 in (-3, 0, 2):  # a negative base weight at d_0 < 0
+                d = degrees([d0] + gaps)
+                r = degree_data(d)
+                got = pieri_dims(r.base, r.m, r.top)
+                assert len(got) == r.top - d0 + 1
+                assert got == [pieri_dim(r.base, e, r.m, r.top) for e in range(len(got))], d
+                assert got == [strip_filter_hilbert(d, k) for k in range(d0, r.top + 1)], d
+
+    def test_matches_walk_on_weights(self):
+        # weights of m <= 12 parts, many of them equal (rows with room 0),
+        # negative parts too, and caps from lam_1 to lam_1 + 4
+        rng = random.Random(30)
+        for _ in range(300):
+            m = rng.randint(1, 12)
+            steps = [rng.choice((0, 0, 0, 1, 2, 4)) for _ in range(m)]
+            low = rng.randint(-5, 2)
+            lam = [low + sum(steps[i + 1 :]) for i in range(m)]
+            cap = lam[0] + rng.randint(0, 4)
+            if prod(cap - lam[0] + 1 if i == 0 else lam[i - 1] - lam[i] + 1 for i in range(m)) > 2000:
+                continue
+            want = [pieri_dim(lam, e, m, cap) for e in range(cap - lam[-1] + 1)]
+            assert pieri_dims(lam, m, cap) == want, (lam, m, cap)
+
+
 class TestPieriDimOracle:
     @settings(derandomize=True, database=None, max_examples=150, deadline=None)
     @given(partitions(3, 4), st.integers(-1, 6), st.integers(0, 3), st.integers(0, 4))
@@ -239,6 +288,35 @@ class TestDimGl:
     def test_negative_parts(self):
         # determinant twist invariance
         assert dim_gl((1, 0, -1), 3) == dim_gl((2, 1, 0), 3)
+
+    def test_negative_weight_needs_exactly_m_parts(self):
+        # padding such a weight with zeros would break weak decrease
+        assert dim_gl((7, 6, 3, 0, -2), 5) == dim_gl((9, 8, 5, 2, 0), 5)
+        assert dim_gl((-1,), 1) == 1
+        for lam, m in (((7, 6, 3, 0, -2), 6), ((-1,), 2), ((1, -1), 1)):
+            with pytest.raises(ValueError, match=f"needs exactly {m} parts"):
+                dim_gl(lam, m)
+
+    def test_tall_partitions_by_columns_match_ssyt(self):
+        # fewer columns than rows: the hook-content product over columns
+        tall = [lam for lam in all_partitions(7) if lam and lam[0] < len(lam)]
+        assert len(tall) > 10
+        for lam in tall:
+            for m in range(len(lam) - 1, len(lam) + 2):
+                assert dim_gl(lam, m) == count_ssyt(lam, (), m), (lam, m)
+
+    def test_gammas_match_weyl_product(self):
+        # every gamma(d, i) of the `tables` gaps (s <= 5, gaps 1..6) with
+        # dim F <= 23, nearly all of them tall
+        weights = set()
+        for s in range(1, 6):
+            for gaps in product(range(1, 7), repeat=s):
+                if sum(gaps) - s < 23:
+                    setup, gammas = det_terms(degrees((0,) + gaps))
+                    weights.update((g, setup.dim_f) for g in gammas)
+        assert sum(1 for g, _ in weights if g and g[0] < len(g)) > 20000
+        for g, dim_f in weights:
+            assert dim_gl(g, dim_f) == weyl_dim(g, dim_f), (g, dim_f)
 
 
 class TestDimSkew:

@@ -596,7 +596,7 @@ class TestRecord:
 
 class TestHilbertPart:
     """The record's one Hilbert part: the whole strip-count Hilbert function
-    of M(d) from one walk, shared by module_profile and hilbert_M_strips;
+    of M(d) from one determinant, shared by module_profile and hilbert_M_strips;
     past module_profile's limits hilbert_M_strips walks one degree alone."""
 
     part = staticmethod(resolutions._hilbert_function)
@@ -609,6 +609,23 @@ class TestHilbertPart:
             for k in range(d[0], p.top_degree + 2):
                 assert hilbert_M_strips(d, k) == p.hf.get(k, 0)
             assert self.part.cache_info().misses == misses, d
+
+    def test_tall_profiles_answer_quickly(self):
+        # the rows with room 0 are factored out of the determinant; kept in
+        # it, range(201) would need a 200 x 200 one
+        for d in (
+            tuple(range(201)),
+            degrees([0] + [2] * 8 + [1] * 56),
+            degrees([0] + [1] * 56 + [2] * 8),
+        ):
+            clear_record()
+            t0 = time.perf_counter()
+            p = module_profile(d)
+            assert time.perf_counter() - t0 < 0.5, d
+            if len(d) - 1 <= BETTI_LENGTH_LIMIT:
+                assert p.hf == {k: hilbert_M_euler(d, k) for k in p.hf}
+            else:
+                assert p.hf == {0: 1}
 
     def test_holds_one_int_per_degree(self):
         d = (0, 1, PROFILE_SPAN_LIMIT + 2)
