@@ -7,6 +7,7 @@ arithmetic is exact; no floats anywhere.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import lru_cache
 from math import comb, factorial, gcd, perm, prod
 
@@ -215,25 +216,31 @@ def pieri_dims(lam, m: int, cap: int) -> list[int]:
     of at most prod(room_a + 1) terms prod_a w_a / g_a * prod_{a<b}
     (y_a - y_b) over the strips of size e, none negative, each at most
     prod_a max(w_a / g_a) * span^(r(r-1)/2), where span = l_0 + room_0 is
-    the largest difference of two shifted parts.  B = bitlen(prod(room_a + 1)) + sum_a bitlen(max(w_a /
-    g_a)) + r(r-1)/2 * bitlen(span) bounds them all, so every base-T
-    digit of the determinant is its coefficient exactly."""
+    the largest difference of two shifted parts.  So every coefficient is
+    below 2^B for B = bitlen(prod(room_a + 1)) + r(r-1)/2 * bitlen(span)
+    plus, when C is not empty, sum_a bitlen(max(w_a / g_a)) (with C empty
+    every w_a is 1), and every base-T digit of the determinant is its
+    coefficient exactly."""
     lam, room, below = _rows(lam, m, cap)
     if room[0] < 0:
         return [0] * (cap - lam[-1] + 1)
+    if m < 2:
+        return [1] * (room[0] + 1)  # one strip of each size, of dimension 1
     shifted = [x + m - 1 - a for a, x in enumerate(below)]
     fixed = [y for y, x in zip(shifted, room) if not x]
-    r, span = m - len(fixed), shifted[0] + room[0]
+    r = m - len(fixed)
     common, rows = _weyl_numerator(fixed), []
-    bits = prod(x + 1 for x in room).bit_length() + r * (r - 1) // 2 * span.bit_length()
+    bits = prod([x + 1 for x in room]).bit_length()
+    bits += r * (r - 1) // 2 * (shifted[0] + room[0]).bit_length()
     for y0, most in zip(shifted, room):
         if most:
-            ys = range(y0 + most, y0 - 1, -1)  # the highest power of T first
-            ws = [abs(prod([y - c for c in fixed])) for y in ys]
-            g = gcd(*ws)
-            common *= g
-            ws = [w // g for w in ws]
-            bits += max(ws).bit_length()
+            ys, ws = range(y0 + most, y0 - 1, -1), [1] * (most + 1)  # Horner: T^most first
+            if fixed:
+                ws = [abs(prod([y - c for c in fixed])) for y in ys]
+                g = gcd(*ws)
+                common *= g
+                ws = [w // g for w in ws]
+                bits += max(ws).bit_length()
             rows.append((ys, ws))
     mat = []
     for ys, ws in rows:
@@ -243,20 +250,28 @@ def pieri_dims(lam, m: int, cap: int) -> list[int]:
                 row[b] = (row[b] << bits) + f
                 f *= y
         mat.append(row)
-    packed, mask = _int_det(mat), (1 << bits) - 1
-    return [_weyl_quotient(common * (packed >> bits * e & mask), m) for e in range(sum(room) + 1)]
+    packed, mask, den = _int_det(mat), (1 << bits) - 1, _weyl_denominator(m)
+    return [common * (packed >> bits * e & mask) // den for e in range(sum(room) + 1)]
 
 
 def _dim_by_columns(lam, m: int) -> int:
     """dim S_lam(E), dim E = m, by the hook-content formula over the w
     columns of the partition lam: the contents of column c give
-    perm(m + c, lam'_c), and the hook lengths prod l_a! / prod_{a<b}
-    (l_a - l_b) with l_a = lam'_a + w - 1 - a: w(w - 1)/2 differences,
+    perm(m + c, lam'_c), and the hook lengths prod l_c! / prod_{a<c}
+    (l_a - l_c) with l_c = lam'_c + w - 1 - c: w(w - 1)/2 differences,
     while perm and factorial multiply one factor per box in C."""
-    cols = conjugate(lam)
-    shifted = [x + len(cols) - 1 - a for a, x in enumerate(cols)]
-    num = prod([perm(m + c, x) for c, x in enumerate(cols)]) * _weyl_numerator(shifted)
-    return num // prod([factorial(x) for x in shifted])
+    rev, w = lam[::-1], lam[0]  # lam'_c = len(lam) - #{parts <= c}
+    num = den = 1
+    shifted: list[int] = []
+    for c in range(w):
+        height = len(lam) - bisect_right(rev, c)
+        l_c = height + w - 1 - c
+        num *= perm(m + c, height)
+        den *= factorial(l_c)
+        for l_a in shifted:
+            num *= l_a - l_c
+        shifted.append(l_c)
+    return num // den
 
 
 def dim_gl(lam, m: int) -> int:

@@ -577,15 +577,15 @@ PROFILE_SPAN_LIMIT = 100
 # prod_{i>=1} e_i Pieri strips, and pieri_dims sums them as one determinant
 # with a row for each of the r gaps e_i > 1.  Since 2^r * r^2 <= prod e_i *
 # m^2, the limit keeps r <= 13 and m <= 1414; m sets the Weyl factors.  On
-# 2 vCPUs with CPython 3.11, module_profile takes about 0.3 ms at
-# (0,10,20,45,95) and 1.3 ms at m = 10 with every e_i in {1, 2, 5} (both at
-# the limit), 2.3 ms at m = 40 with e = (2^10, 1^30), 10 ms at m = 13 with
-# every e_i = 2 (r = 13) and 65 ms at range(201), 200 rows with room 0; a
+# 2 vCPUs with CPython 3.11, module_profile takes about 0.2 ms at
+# (0,10,20,45,95) and 1.2 ms at m = 10 with every e_i in {1, 2, 5} (both at
+# the limit), 2.1 ms at m = 40 with e = (2^10, 1^30), 8 ms at m = 13 with
+# every e_i = 2 (r = 13) and 63 ms at range(201), 200 rows with room 0; a
 # first hilbert_M_strips within the two profile limits pays the same
 # determinant.  Past them it walks one degree, up to about 60 ms
-# ((0, 10^6, 2 * 10^6) at k = 499,999; 45 ms at m = 40 with every e_i = 3
+# ((0, 10^6, 2 * 10^6) at k = 499,999; 41 ms at m = 40 with every e_i = 3
 # and k = d_0 + 2).  Over the limit, m = 20 with every e_i = 2 (4e8) takes
-# 0.5 s.  `tables` inputs reach 6^5 * 5^2 = 194400, the CLI examples 900.
+# 0.4 s.  `tables` inputs reach 6^5 * 5^2 = 194400, the CLI examples 900.
 PROFILE_STRIP_LIMIT = 2_000_000
 
 
