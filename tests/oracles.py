@@ -1,11 +1,11 @@
 """Independent brute-force oracles used by the tests: semistandard tableau
 enumeration for (skew) Schur module dimensions, kept deliberately separate
 from the library's formulas, the Weyl product over every pair of rows,
-horizontal strips by search over a box, the
-strip-filter form of the Hilbert function and the tableau form of super
-dimensions, dense Gauss-Jordan rank, a Fraction Gauss-Jordan inverse and
-dense matrix helpers, an echelonized subspace basis with coordinates, the
-Young symmetrizer summed over its whole row and column groups, a
+horizontal strips by search over a box, the strip-filter form of the
+Hilbert function and the tableau form of super dimensions, dense
+Gauss-Jordan rank, a Fraction Gauss-Jordan inverse and dense matrix
+helpers, an echelonized subspace basis with coordinates, the Young
+symmetrizer summed over its whole row and column groups, a
 word-level realization of the slice complex for the exactness lab, and
 Bott's algorithm with every pair of entries compared."""
 

@@ -596,8 +596,9 @@ class TestRecord:
 
 class TestHilbertPart:
     """The record's one Hilbert part: the whole strip-count Hilbert function
-    of M(d) from one determinant, shared by module_profile and hilbert_M_strips;
-    past module_profile's limits hilbert_M_strips walks one degree alone."""
+    of M(d) from one determinant, shared by module_profile and
+    hilbert_M_strips; past module_profile's limits hilbert_M_strips walks
+    one degree alone."""
 
     part = staticmethod(resolutions._hilbert_function)
 
