@@ -63,19 +63,10 @@ def is_horizontal_strip(outer, inner) -> bool:
     )
 
 
-def _weyl_numerator(shifted) -> int:
-    """prod_{a<b} (l_a - l_b) over the shifted parts l_i = lam_i + m - i."""
-    num = 1
-    for a, la in enumerate(shifted):
-        for lb in shifted[a + 1 :]:
-            num *= la - lb
-    return num
-
-
 @lru_cache(maxsize=128)
-def _weyl_denominator(m: int) -> int:
-    """prod_{a<b<m} (b - a) = prod_{i<m} i!, the Weyl denominator of GL_m."""
-    return prod(factorial(i) for i in range(m))
+def _weyl_denominator(m: int, k: int) -> int:
+    """prod_{m-k <= i < m} i!, the Weyl denominator of GL_m over that of m - k rows."""
+    return prod(factorial(i) for i in range(m - k, m))
 
 
 def _rows(lam, m: int, cap: int) -> tuple[tuple[int, ...], list[int], list[int]]:
@@ -141,9 +132,9 @@ def pieri_expand(lam, e: int, max_rows: int, cap: int | None = None) -> list[tup
     return _strips(lam, e, max_rows, top)
 
 
-def _weyl_quotient(num: int, m: int) -> int:
-    """A sum of Weyl numerators over GL_m divided by the Weyl denominator."""
-    q, r = divmod(num, _weyl_denominator(m))
+def _weyl_quotient(num: int, m: int, k: int) -> int:
+    """A sum of Weyl numerators over GL_m divided by _weyl_denominator(m, k)."""
+    q, r = divmod(num, _weyl_denominator(m, k))
     assert r == 0
     return q
 
@@ -191,7 +182,7 @@ def pieri_dim(lam, e: int, m: int, cap: int) -> int:
             for l_a in shifted:
                 f *= (l_a - l_i) * (l_a - l_m)
             total += f
-    return _weyl_quotient(total, m)
+    return _weyl_quotient(total, m, m)
 
 
 def pieri_dims(lam, m: int, cap: int) -> list[int]:
@@ -203,13 +194,13 @@ def pieri_dims(lam, m: int, cap: int) -> list[int]:
     shifted part is y_a = l_a + x_a, l_a = lam_a - lam_m + m - 1 - a.  The
     Weyl numerator prod_{a<b} (y_a - y_b) is the Vandermonde det
     y_a^(m-1-b), and a determinant is linear in each row, so the sum of
-    t^|x| times it over all strips is det sum_x t^x y_a^(m-1-b).  The rows
-    with room 0 (C) are constant: their pairs give the constant
-    prod (l_c - l_c'), and each of the r other rows a takes the factor
+    t^|x| times it over all strips is det sum_x t^x y_a^(m-1-b).  The c
+    rows with room 0 (C) are constant: their pairs give dim_gl(mu, c) *
+    prod_{i<c} i!, mu_j = l_j - (c - 1 - j) over C, which leaves prod_{c <=
+    i < m} i! to divide by.  Each of the r other rows a takes the factor
     w_a(x_a) = prod_{c in C} |y_a - l_c| of its pairs with C, divided by
-    g_a, the gcd of w_a over x_a, which joins the constant.  What is left
-    is the r x r det sum_x t^x w_a(x) / g_a * y_a^(r-1-b), not one of size
-    m with entries of degree m - 1 in y.
+    g_a, the gcd of w_a over x_a, which joins the constant: an r x r det
+    sum_x t^x w_a(x) / g_a * y_a^(r-1-b) is left.
 
     It is evaluated at t = T = 2^B and read off in base T.  The shifted
     parts of a strip strictly decrease, so the coefficient of t^e is a sum
@@ -228,8 +219,9 @@ def pieri_dims(lam, m: int, cap: int) -> list[int]:
         return [1] * (room[0] + 1)  # one strip of each size, of dimension 1
     shifted = [x + m - 1 - a for a, x in enumerate(below)]
     fixed = [y for y, x in zip(shifted, room) if not x]
-    r = m - len(fixed)
-    common, rows = _weyl_numerator(fixed), []
+    c, rows = len(fixed), []
+    r = m - c
+    common = dim_gl([y - c + 1 + j for j, y in enumerate(fixed)], c)
     bits = prod([x + 1 for x in room]).bit_length()
     bits += r * (r - 1) // 2 * (shifted[0] + room[0]).bit_length()
     for y0, most in zip(shifted, room):
@@ -250,7 +242,7 @@ def pieri_dims(lam, m: int, cap: int) -> list[int]:
                 row[b] = (row[b] << bits) + f
                 f *= y
         mat.append(row)
-    packed, mask, den = _int_det(mat), (1 << bits) - 1, _weyl_denominator(m)
+    packed, mask, den = _int_det(mat), (1 << bits) - 1, _weyl_denominator(m, r)
     return [common * (packed >> bits * e & mask) // den for e in range(sum(room) + 1)]
 
 
@@ -277,25 +269,33 @@ def _dim_by_columns(lam, m: int) -> int:
 def dim_gl(lam, m: int) -> int:
     """dim S_lam(E) for dim E = m.
 
-    Accepts a partition, or a weakly decreasing integer weight of exactly m
-    parts with negative parts (interpreted via determinant twists); a
-    partition with more than m nonzero parts gives 0.  A partition with
-    fewer columns than nonzero rows is counted by its columns
-    (_dim_by_columns), any other weight by the Weyl dimension formula, a
-    product over all m rows.
-    """
+    Accepts a partition, or a weakly decreasing weight of exactly m parts
+    with negative parts, twisted by its last part into a partition (the
+    determinant twist); more than m nonzero parts give 0.  A partition with
+    fewer columns than nonzero rows is counted by its columns, any other by
+    the Weyl product over its k nonzero rows, l_a = lam_a + m - 1 - a: the
+    pairs of row a with the m - k zero rows give perm(l_a, m - k), and those
+    of two zero rows cancel all but _weyl_denominator(m, k)."""
     lam = tuple(lam)
     if lam and min(lam) < 0:
         if len(lam) != m:
             raise ValueError(f"weight {lam} with a negative part needs exactly {m} parts")
+        lam = check_partition([x - lam[-1] for x in lam])
     else:
         lam = trim(lam)
         if len(lam) > m:
             return 0
-        if lam and lam[0] < len(lam):
-            return _dim_by_columns(lam, m)
-    shifted = [x + m - i for i, x in enumerate(lam)] + list(range(m - len(lam), 0, -1))
-    return _weyl_quotient(_weyl_numerator(shifted), m)
+    if lam and lam[0] < len(lam):
+        return _dim_by_columns(lam, m)
+    k = len(lam)
+    shifted = [x + m - 1 - a for a, x in enumerate(lam)]
+    num = 1
+    for a, l_a in enumerate(shifted):
+        if k < m:
+            num *= perm(l_a, m - k)
+        for l_b in shifted[a + 1 :]:
+            num *= l_a - l_b
+    return _weyl_quotient(num, m, k)
 
 
 def _int_det(mat: list[list[int]]) -> int:

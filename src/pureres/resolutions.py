@@ -161,10 +161,13 @@ def _gaps(e) -> list[int]:
 def gamma(d, i: int) -> tuple[int, ...]:
     """Weight on F of the i-th term of the determinantal complex:
     ((s-1)^{e_s - 1}, ..., i^{e_{i+1} - 1}, i^{e_i}, (i-1)^{e_{i-1} - 1},
-    ..., 1^{e_1 - 1}), the conjugate of alpha(d, i)."""
+    ..., 1^{e_1 - 1}), the conjugate of alpha(d, i).  It has dim F parts,
+    dim F - e_1 at i = 0, and is refused past DET_COST_LIMIT of them."""
     r = degree_data(d)
     if not 0 <= i <= r.m:
         raise ValueError(f"index {i} outside 0..{r.m}")
+    dim_f = r.d[-1] - r.d[0] - r.m + 1
+    check_limit("gamma(d, i) parts", dim_f if i else dim_f - r.e[1], DET_COST_LIMIT)
     return _gamma(r.e, i, _gaps(r.e))
 
 
@@ -183,6 +186,8 @@ DET_DIM_LIMIT = 200
 # det_bott_scan computes no Weyl dimension but builds a trace of dim F
 # entries per u = 0..dim G, so it refuses (dim G + 1)(dim F + 1) over the
 # same limit; its slowest accepted scan, range(125000), takes about 0.8 s.
+# gamma(d, i) refuses a weight of more parts than this before building it;
+# 250,000 parts take about 5 ms and 4 MB.
 DET_COST_LIMIT = 250_000
 
 
@@ -580,12 +585,13 @@ PROFILE_SPAN_LIMIT = 100
 # 2 vCPUs with CPython 3.11, module_profile takes about 0.2 ms at
 # (0,10,20,45,95) and 1.2 ms at m = 10 with every e_i in {1, 2, 5} (both at
 # the limit), 2.1 ms at m = 40 with e = (2^10, 1^30), 8 ms at m = 13 with
-# every e_i = 2 (r = 13) and 63 ms at range(201), 200 rows with room 0; a
-# first hilbert_M_strips within the two profile limits pays the same
-# determinant.  Past them it walks one degree, up to about 60 ms
-# ((0, 10^6, 2 * 10^6) at k = 499,999; 41 ms at m = 40 with every e_i = 3
-# and k = d_0 + 2).  Over the limit, m = 20 with every e_i = 2 (4e8) takes
-# 0.4 s.  `tables` inputs reach 6^5 * 5^2 = 194400, the CLI examples 900.
+# every e_i = 2 (r = 13), and 0.5 ms at range(201) and 6 ms at range(1415),
+# every row with room 0; a first hilbert_M_strips within the two profile
+# limits pays the same determinant.  Past them it walks one degree, up to
+# about 60 ms ((0, 10^6, 2 * 10^6) at k = 499,999; 41 ms at m = 40 with
+# every e_i = 3 and k = d_0 + 2).  Over the limit, m = 20 with every e_i =
+# 2 (4e8) takes 0.4 s.  `tables` inputs reach 6^5 * 5^2 = 194400, the CLI
+# examples 900.
 PROFILE_STRIP_LIMIT = 2_000_000
 
 

@@ -582,6 +582,15 @@ def as_flag(lists):
 
 
 D, LAM = as_flag(DEGREES), as_flag(WEIGHTS)
+# long unit-gap degree sequences, sometimes with one more gap, for profile
+# half the time: up to m = 1414 they pass its strip limit, and they hang if
+# a Weyl dimension multiplies out the pairs of zero rows
+UNIT_RUNS = st.builds(
+    lambda d0, n, gap: list(range(d0, d0 + n)) + ([d0 + n - 1 + gap] if gap else []),
+    st.integers(-2, 3),
+    st.integers(100, 1415),
+    st.one_of(st.none(), st.integers(2, 4), BIG),
+).map(lambda xs: ",".join(map(str, xs)))
 CONSTRUCTION = st.sampled_from("FH")
 # each command's flags; a trailing "?" marks an optional one
 FLAGS = {
@@ -589,7 +598,7 @@ FLAGS = {
     "primitive": {"--d": D},
     "bott": {"--alpha": LAM, "--u": SMALL, "--m": SMALL},
     "scan": {"--d": D},
-    "profile": {"--d": D},
+    "profile": {"--d": st.one_of(UNIT_RUNS, D)},
     "duality": {"--d": D},
     "super": {
         "--construction": CONSTRUCTION, "--lam": LAM, "--e1": POSITIVE, "--m?": SMALL,

@@ -297,6 +297,29 @@ class TestDimGl:
             with pytest.raises(ValueError, match=f"needs exactly {m} parts"):
                 dim_gl(lam, m)
 
+    def test_negative_weight_must_decrease(self):
+        # the determinant twist by the last part leaves no partition
+        for lam in ((0, -1, 3), (-2, -1, -3)):
+            with pytest.raises(ValueError):
+                dim_gl(lam, 3)
+
+    def test_short_partitions_in_large_dimension(self):
+        # only the k nonzero rows are multiplied out: the pairs of zero rows
+        # cancel the denominator
+        m = 1414
+        assert m * (m + 1) * (m + 2) * (m - 1) // 8 == 500404581810
+        for lam, n, want in (((3, 1), m, 500404581810), ((), 400, 1)):
+            t0 = time.perf_counter()
+            assert dim_gl(lam, n) == want
+            assert time.perf_counter() - t0 < 0.1, (lam, n)
+
+    def test_short_partitions_match_weyl_product(self):
+        rng = random.Random(31)
+        for _ in range(400):
+            m = rng.randint(0, 40)
+            lam = random_partition(rng, rng.choice((2, 6, 30)), min(m, rng.randint(0, 6)))
+            assert dim_gl(lam, m) == weyl_dim(lam, m), (lam, m)
+
     def test_tall_partitions_by_columns_match_ssyt(self):
         # fewer columns than rows: the hook-content product over columns
         tall = [lam for lam in all_partitions(7) if lam and lam[0] < len(lam)]

@@ -593,6 +593,13 @@ class TestRecord:
             with pytest.raises(ResourceLimitError):
                 det_setup(wide)
 
+    def test_gamma_counts_its_parts_first(self):
+        # about 10^9 parts of 1 at i = 0: refused before any is built
+        t0 = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match="gamma"):
+            gamma((0, 1, 10**9), 0)
+        assert time.perf_counter() - t0 < 0.1
+
 
 class TestHilbertPart:
     """The record's one Hilbert part: the whole strip-count Hilbert function
@@ -613,11 +620,14 @@ class TestHilbertPart:
 
     def test_tall_profiles_answer_quickly(self):
         # the rows with room 0 are factored out of the determinant; kept in
-        # it, range(201) would need a 200 x 200 one
+        # it, range(201) would need a 200 x 200 one.  Their constant, and the
+        # socle's dimension, multiply out nonzero rows only: range(1415) has
+        # 1414 rows of zeros
         for d in (
             tuple(range(201)),
             degrees([0] + [2] * 8 + [1] * 56),
             degrees([0] + [1] * 56 + [2] * 8),
+            tuple(range(1415)),
         ):
             clear_record()
             t0 = time.perf_counter()
@@ -627,6 +637,11 @@ class TestHilbertPart:
                 assert p.hf == {k: hilbert_M_euler(d, k) for k in p.hf}
             else:
                 assert p.hf == {0: 1}
+
+    def test_unit_gaps_after_one_gap_golden(self):
+        # 300 rows with room 0 under one with room 1
+        p = module_profile((0,) + tuple(range(2, 303)))
+        assert (p.hf, p.socle_weight, p.socle_dim) == ({0: 1, 1: 301}, (1,), 301)
 
     def test_holds_one_int_per_degree(self):
         d = (0, 1, PROFILE_SPAN_LIMIT + 2)
@@ -780,6 +795,12 @@ BOUNDS = {
     "strips_degree": (
         lambda: hilbert_M_strips((0, 10**6, 2 * 10**6), 500_000),
         lambda: hilbert_M_strips((0, 10**6, 2 * 10**6), 499_999),
+        ResourceLimitError,
+    ),
+    # parts of gamma(d, 1) = dim F = 250,001 and 250,000
+    "gamma_parts": (
+        lambda: gamma((0, DET_COST_LIMIT + 1), 1),
+        lambda: gamma((0, DET_COST_LIMIT), 1),
         ResourceLimitError,
     ),
     # dim F = 201 and 200
