@@ -171,18 +171,20 @@ def gamma(d, i: int) -> tuple[int, ...]:
     return _gamma(r.e, i, _gaps(r.e))
 
 
-# Largest dim F the determinantal construction accepts.  The cost of the
-# weights and Weyl dimensions grows about as dim_f^4: betti_H takes
-# 0.1-0.2 s at 200 and 2.5-3 s at 400, and gamma() alone allocates a list
-# of dim_f - 1 parts.
+# Largest dim F the determinantal construction accepts; each gamma() is a
+# list of up to dim F parts.  A Weyl dimension over dim F multiplies out
+# only the nonzero rows of its weight: on 2 vCPUs with CPython 3.11.7
+# (record cleared), six-row betti_H tables take about 0.3 ms at dim F = 200
+# and, over the limit, 1.4-2.3 ms at 400.
 DET_DIM_LIMIT = 200
 
 # Largest rows * (dim F)^2 + sum_i (d_i - d_0) that betti_H and scan_ranks
-# accept.  Each row pays one Weyl dimension over dim F, (dim F)^2 / 2
-# factors (about 65 ms at dim F = 200), and betti_H's weight2 rows hold
-# sum_i (d_i - d_0) parts.  Without it (0, 200, 201, ..., 299) took 5.5 s
-# and range(6000) 3.1 s.  At this bound the slowest accepted tables, six
-# rows at dim F = 200, take about 0.4 s (2 vCPUs, CPython 3.11).
+# accept.  Each row pays one Weyl dimension over dim F, at most
+# (dim F)^2 / 2 factors, and betti_H's weight2 rows hold sum_i (d_i - d_0)
+# parts.  Six rows at dim F = 197..200 take 0.2-0.4 ms, and range(706),
+# 249,571 weight2 parts, 12-20 ms (2 vCPUs, CPython 3.11.7, record
+# cleared).  Over it, (0, 200, 201, ..., 299) takes 0.07-0.1 s and
+# range(6000), 18 million weight2 parts, 3 s.
 # det_bott_scan computes no Weyl dimension but builds a trace of dim F
 # entries per u = 0..dim G, so it refuses (dim G + 1)(dim F + 1) over the
 # same limit; its slowest accepted scan, range(125000), takes about 0.8 s.
@@ -266,21 +268,23 @@ class BettiTable(namedtuple("BettiTable", "kind d rows params truncated_at")):
 
 # Largest m (one less than the length of d) that betti_F accepts, and with
 # it hilbert_M_euler, duality_check and the exactness lab.  Each of the
-# m + 1 Weyl dimensions multiplies m(m - 1)/2 factors: on 2 cores with
-# CPython 3.11, betti_F takes about 0.06 s at m = 64 (0.17 s with gaps of
-# 1000), 0.5 s at 100, 11 s at 200 and 114 s at 300.  The `tables` inputs
-# and the CLI examples have m <= 5.
+# m + 1 Weyl dimensions multiplies up to m(m - 1)/2 factors, over its
+# nonzero rows only: on 2 vCPUs with CPython 3.11.7 (record cleared),
+# betti_F takes 1.2-2 ms at m = 64 (84-95 ms with gaps of 1000) and, over
+# the limit, 3 ms at 100, 11 ms at 200 and 24 ms at 300 with unit gaps.
+# The `tables` inputs and the CLI examples have m <= 5.
 BETTI_LENGTH_LIMIT = 64
 
 # Largest m^2 * bitlen(d_m - d_0) that betti_F and herzog_kuhl_primitive
 # accept, and largest m(m - 1)/2 * bitlen(d_m - d_0) that hilbert_M_strips
-# accepts: their products also grow with the size of the degrees.  At this
-# bound betti_F takes about 0.4 s at m = 64 (gaps of 2^26) and 0.07 s at
-# m = 16 (gaps of 2^508); at twice it 1.4 s and 0.23 s.  Gaps of 10^100
-# took 28 s at m = 64 and gaps of 10^4000 13 s at m = 16; at m = 30 with
-# every other gap near 2^2047, herzog_kuhl_primitive took 9 s and
-# hilbert_M_strips(d, d_0 + 2) over 20 s.  The tests, demos and benchmark
-# inputs stay below 2^15.
+# accepts past module_profile's limits, where it walks one degree alone:
+# their products also grow with the size of the degrees.  At this bound
+# betti_F takes about 0.18-0.2 s at m = 64 (gaps of 2^25) and 32 ms at
+# m = 16 (gaps of 2^507); at twice it (gaps of 2^57 and 2^1019) 0.8 s and
+# 0.13 s.  Gaps of 10^100 take 17 s at m = 64; gaps of 10^4000 took 13 s at
+# m = 16, and at m = 30 with every other gap near 2^2047,
+# herzog_kuhl_primitive took 9 s and hilbert_M_strips(d, d_0 + 2) over
+# 20 s.  The tests, demos and benchmark inputs stay below 2^15.
 BETTI_COST_LIMIT = 2**17
 
 
@@ -305,39 +309,38 @@ def _f_terms(d: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], tuple[int
     return weights, tuple([dim_gl(w, m) for w in weights])
 
 
+def _table(
+    kind, d, twists, weights, ranks, params, weights2=None, truncated_at=None
+) -> BettiTable:
+    """The table of `kind` whose row i has twists[i], weights[i], ranks[i]
+    and, when weights2 is given, weights2[i]; a row of rank 0 vanishes."""
+    if weights2 is None:
+        weights2 = [None] * len(ranks)
+    columns = zip(twists, weights, ranks, weights2)
+    rows = tuple([BettiRow(i, t, w, r, w2, r == 0) for i, (t, w, r, w2) in enumerate(columns)])
+    return BettiTable(kind, d, rows, params, truncated_at)
+
+
 def betti_F(d) -> BettiTable:
     """Betti table of the length-m equivariant pure complex over Sym(E),
     dim E = m: the i-th term is generated in degree d_i by the Schur module
     of weight alpha(d, i)."""
     d = check_degrees(d)
     weights, ranks = _f_terms(d)
-    rows = tuple(
-        [BettiRow(i=i, twist=d[i], weight=trim(w), rank=rank)
-         for i, (w, rank) in enumerate(zip(weights, ranks))]
-    )
-    return BettiTable(kind="F", d=d, rows=rows, params={"m": len(d) - 1})
+    return _table("F", d, d, [trim(w) for w in weights], ranks, {"m": len(d) - 1})
 
 
 def betti_H(d) -> BettiTable:
     """Betti table of the determinantal pure complex over Sym(F (x) G*):
     rank_i = dim S_{gamma(d,i)}(F) * C(dim G, d_i - d_0), twists relative
-    to d_0."""
+    to d_0 (each at most d_s - d_0 = dim G)."""
     d = check_degrees(d)
     setup, gammas = _det_terms(d)
     check_det_cost(d, setup.dim_f)
-    rows = []
-    for i, g in enumerate(gammas):
-        t = d[i] - d[0]
-        rank = dim_gl(g, setup.dim_f) * comb(setup.dim_g, t) if t <= setup.dim_g else 0
-        rows.append(
-            BettiRow(i=i, twist=t, weight=g, weight2=(1,) * t, rank=rank, vanishing=rank == 0)
-        )
-    return BettiTable(
-        kind="H",
-        d=d,
-        rows=tuple(rows),
-        params={"dim_f": setup.dim_f, "dim_g": setup.dim_g, "s": setup.s},
-    )
+    twists = [x - d[0] for x in d]
+    ranks = [dim_gl(g, setup.dim_f) * comb(setup.dim_g, t) for g, t in zip(gammas, twists)]
+    params = {"dim_f": setup.dim_f, "dim_g": setup.dim_g, "s": setup.s}
+    return _table("H", d, twists, gammas, ranks, params, weights2=[(1,) * t for t in twists])
 
 
 class SuperDegreeData:
@@ -376,10 +379,6 @@ def super_degree_data(lam, e1: int) -> SuperDegreeData:
     return SuperDegreeData(lam, e1)
 
 
-def _default_truncation(lam, m: int, n: int) -> int:
-    return len(trim(lam)) + m + n + 2
-
-
 # Super tables are refused before any dimension is computed when they are
 # truncated past BETTI_LENGTH_LIMIT rows, or when a dim_super call (weight
 # lam, graded dimension (m, n)) would build entries that are too large or
@@ -399,13 +398,17 @@ SUPER_ENTRY_BITS = 4096
 SUPER_COST_LIMIT = 4 * 10**6
 
 
-def _truncated(data: SuperDegreeData, N: int) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
-    """(d_0, ..., d_N) and (alpha(0), ..., alpha(N)) of a super table
-    truncated at N; refused past BETTI_LENGTH_LIMIT rows."""
+def _super_terms(lam, e1: int, dims, N: int | None):
+    """The checked degree data of (lam, e1), the truncation N (by default
+    len(lam) + sum(dims) + 2), (d_0, ..., d_N) and (alpha(0), ...,
+    alpha(N)) of a super table; refused past BETTI_LENGTH_LIMIT rows."""
+    data = super_degree_data(lam, e1)
+    if N is None:
+        N = len(data.lam) + sum(dims) + 2
     if N < 1:
         raise ValueError("truncation must be >= 1")
     check_limit("super table truncation N", N, BETTI_LENGTH_LIMIT)
-    return data.degree_prefix(N), [data.alpha(i) for i in range(N + 1)]
+    return data, N, data.degree_prefix(N), [data.alpha(i) for i in range(N + 1)]
 
 
 def _check_super_cost(*factors) -> None:
@@ -438,22 +441,11 @@ def _check_super_cost(*factors) -> None:
 def betti_F_super(lam, e1: int, m: int, n: int, N: int | None = None) -> BettiTable:
     """Truncated Betti table of the Z/2-graded pure complex over
     Sym(V0) (x) Exterior(V1), dim vector (m, n)."""
-    data = super_degree_data(lam, e1)
-    if N is None:
-        N = _default_truncation(lam, m, n)
-    d, weights = _truncated(data, N)
+    data, N, d, weights = _super_terms(lam, e1, (m, n), N)
     _check_super_cost((weights, m, n))
-    rows = []
-    for i, a in enumerate(weights):
-        rank = dim_super(a, m, n)
-        rows.append(BettiRow(i=i, twist=d[i], weight=a, rank=rank, vanishing=rank == 0))
-    return BettiTable(
-        kind="F_super",
-        d=d,
-        rows=tuple(rows),
-        params={"lam": data.lam, "e1": e1, "m": m, "n": n},
-        truncated_at=N,
-    )
+    ranks = [dim_super(a, m, n) for a in weights]
+    params = {"lam": data.lam, "e1": e1, "m": m, "n": n}
+    return _table("F_super", d, d, weights, ranks, params, truncated_at=N)
 
 
 def betti_H_super(
@@ -466,27 +458,13 @@ def betti_H_super(
     """Truncated Betti table of the Z/2-graded determinantal complex over
     Sym(V (x) U), with dim vectors mv for V and uv for U:
     rank_i = dim S_{alpha(d,i)}(V) * dim S_{(d_i)}(U)."""
-    m0, m1 = mv
-    u0, u1 = uv
-    data = super_degree_data(lam, e1)
-    if N is None:
-        N = _default_truncation(lam, m0 + u0, m1 + u1)
-    d, weights = _truncated(data, N)
+    (m0, m1), (u0, u1) = mv, uv
+    data, N, d, weights = _super_terms(lam, e1, (m0, m1, u0, u1), N)
     sym = [(di,) if di else () for di in d]  # the weights (d_i) over U
     _check_super_cost((weights, m0, m1), (sym, u0, u1))
-    rows = []
-    for i, (a, b) in enumerate(zip(weights, sym)):
-        rank = dim_super(a, m0, m1) * dim_super(b, u0, u1)
-        rows.append(
-            BettiRow(i=i, twist=d[i], weight=a, weight2=b, rank=rank, vanishing=rank == 0)
-        )
-    return BettiTable(
-        kind="H_super",
-        d=d,
-        rows=tuple(rows),
-        params={"lam": data.lam, "e1": e1, "m0": m0, "m1": m1, "u0": u0, "u1": u1},
-        truncated_at=N,
-    )
+    ranks = [dim_super(a, m0, m1) * dim_super(b, u0, u1) for a, b in zip(weights, sym)]
+    params = {"lam": data.lam, "e1": e1, "m0": m0, "m1": m1, "u0": u0, "u1": u1}
+    return _table("H_super", d, d, weights, ranks, params, weights2=sym, truncated_at=N)
 
 
 def herzog_kuhl_primitive(d) -> tuple[int, ...]:
@@ -548,21 +526,21 @@ def hilbert_M_strips(d, k: int) -> int:
     bookkeeping: sum of dim S_mu(E) over the surviving Pieri strips.  Every
     strip mu contains the base weight lam, so mu contains alpha(d, 1)
     exactly when mu_1 >= lam_1 + e_1; the survivors are the strips with
-    mu_1 <= top = lam_1 + e_1 - 1.  0 below d_0; else refused before any
-    product when the bits of one Weyl numerator, m(m - 1)/2 *
-    bitlen(d_m - d_0), are over BETTI_COST_LIMIT (at m = 1 there is no
-    product).  Within module_profile's limits it is read off the record's
-    Hilbert function, 0 past the top.  Past them degree k is walked alone,
-    refused when the strips of size k - d_0 times m^2 may be over
-    PROFILE_STRIP_LIMIT: at most C(k - d_0 + m - 1, m - 1) and prod e_i."""
+    mu_1 <= top = lam_1 + e_1 - 1.  0 below d_0.  Within module_profile's
+    limits it is read off the record's Hilbert function, 0 past the top.
+    Past them degree k is walked alone, refused before any product when the
+    bits of one Weyl numerator, m(m - 1)/2 * bitlen(d_m - d_0), are over
+    BETTI_COST_LIMIT (at m = 1 there is no product), then when the strips
+    of size k - d_0 times m^2 may be over PROFILE_STRIP_LIMIT: at most
+    C(k - d_0 + m - 1, m - 1) and prod e_i."""
     r = degree_data(d)
     if k < r.d[0]:
         return 0
-    cost = r.m * (r.m - 1) // 2 * (r.d[-1] - r.d[0]).bit_length()
-    check_limit("Weyl numerator bits m(m - 1)/2 * bitlen(d_m - d_0)", cost, BETTI_COST_LIMIT)
     try:
         hf = _hilbert_function(r.d)
     except ResourceLimitError:  # past module_profile's limits: degree k alone
+        cost = r.m * (r.m - 1) // 2 * (r.d[-1] - r.d[0]).bit_length()
+        check_limit("Weyl numerator bits m(m - 1)/2 * bitlen(d_m - d_0)", cost, BETTI_COST_LIMIT)
         strips = min(comb(k - r.d[0] + r.m - 1, r.m - 1), prod(r.e[1:])) * r.m * r.m
         check_limit("Pieri strips of degree k * m^2", strips, PROFILE_STRIP_LIMIT)
         return pieri_dim(r.base, k - r.d[0], r.m, r.top)

@@ -569,16 +569,22 @@ POSITIVE = st.one_of(st.integers(1, 6), INTS)
 # weights, with small and huge steps) three times in four; arbitrary ones
 # otherwise.
 BIG = st.sampled_from([1000, 10**9, 10**30])
-STEPS = st.lists(st.one_of(st.integers(1, 4), st.integers(1, 4), BIG), min_size=1, max_size=6)
+STEPS = st.lists(st.one_of(st.integers(1, 4), BIG), min_size=1, max_size=6)
 DEGREES = st.builds(lambda d0, steps: list(accumulate(steps, initial=d0)), st.integers(-2, 3), STEPS)
-WEIGHTS = st.lists(st.one_of(st.integers(0, 6), st.integers(0, 6), BIG), max_size=6).map(
+WEIGHTS = st.lists(st.one_of(st.integers(0, 6), BIG), max_size=6).map(
     lambda parts: sorted(parts, reverse=True)
 )
 RAW = st.lists(INTS, max_size=7)
 
 
+def mostly(usual, other):
+    """usual three times in four, other otherwise.  st.one_of cannot weight
+    its branches: it draws them evenly and drops a repeated one."""
+    return st.sampled_from([usual, usual, usual, other]).flatmap(lambda s: s)
+
+
 def as_flag(lists):
-    return st.one_of(lists, lists, lists, RAW).map(lambda xs: ",".join(map(str, xs)))
+    return mostly(lists, RAW).map(lambda xs: ",".join(map(str, xs)))
 
 
 D, LAM = as_flag(DEGREES), as_flag(WEIGHTS)
@@ -592,6 +598,17 @@ UNIT_RUNS = st.builds(
     st.one_of(st.none(), st.integers(2, 4), BIG),
 ).map(lambda xs: ",".join(map(str, xs)))
 CONSTRUCTION = st.sampled_from("FH")
+# verify refuses d_0 < 0 and a limit below 1, and super a negative
+# dimension: three times in four these draw values that pass those checks
+VERIFY_D = as_flag(
+    st.builds(
+        lambda d0, steps: list(accumulate(steps, initial=d0)),
+        mostly(st.integers(0, 3), st.integers(-2, -1)),
+        STEPS,
+    )
+)
+LIMIT = mostly(st.integers(1, 3**12), INTS)
+DIM = mostly(st.integers(0, 6), INTS)
 # each command's flags; a trailing "?" marks an optional one
 FLAGS = {
     "betti": {"--construction": CONSTRUCTION, "--d": D, "--m?": SMALL},
@@ -601,11 +618,11 @@ FLAGS = {
     "profile": {"--d": st.one_of(UNIT_RUNS, D)},
     "duality": {"--d": D},
     "super": {
-        "--construction": CONSTRUCTION, "--lam": LAM, "--e1": POSITIVE, "--m?": SMALL,
-        "--n?": SMALL, "--m0?": SMALL, "--m1?": SMALL, "--u0?": SMALL, "--u1?": SMALL,
+        "--construction": CONSTRUCTION, "--lam": LAM, "--e1": POSITIVE, "--m?": DIM,
+        "--n?": DIM, "--m0?": DIM, "--m1?": DIM, "--u0?": DIM, "--u1?": DIM,
         "--N?": SMALL,
     },
-    "verify": {"--d": D, "--m?": SMALL, "--kmax?": SMALL, "--limit?": INTS},
+    "verify": {"--d": VERIFY_D, "--m?": SMALL, "--kmax?": SMALL, "--limit?": LIMIT},
     "examples": {},
 }
 

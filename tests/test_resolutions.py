@@ -438,6 +438,34 @@ class TestSuper:
                 assert total >= 0, (lam, e1, m, n, k)
 
 
+# one table of each kind, N omitted: (kind, builder, rows carry a weight2,
+# default truncation len(lam) + the dimensions + 2, None when finite); both
+# super tables have rows of rank 0 and rows of positive rank
+ROW_RULE_CASES = [
+    ("F", lambda: betti_F((0, 2, 3, 5)), False, None),
+    ("H", lambda: betti_H((0, 2, 3, 5)), True, None),
+    ("F_super", lambda: betti_F_super((2, 1, 0), 2, 2, 1), False, 2 + 2 + 1 + 2),
+    ("H_super", lambda: betti_H_super((2, 1), 2, (1, 1), (2, 1)), True, 2 + 1 + 1 + 2 + 1 + 2),
+]
+
+
+class TestRowRule:
+    @pytest.mark.parametrize(
+        "kind, build, has_weight2, default_n", ROW_RULE_CASES, ids=[c[0] for c in ROW_RULE_CASES]
+    )
+    def test_one_row_rule_for_every_kind(self, kind, build, has_weight2, default_n):
+        t = build()
+        assert t.kind == kind
+        assert [r.i for r in t.rows] == list(range(len(t.rows)))
+        assert all(r.vanishing == (r.rank == 0) for r in t.rows)
+        assert all((r.weight2 is not None) == has_weight2 for r in t.rows)
+        # the weight2 of the row at twist or degree 0 is (), not None
+        assert t.rows[0].weight2 == (() if has_weight2 else None)
+        assert t.truncated_at == default_n
+        if default_n is not None:
+            assert len(t.rows) == default_n + 1
+
+
 class TestDetSetup:
     def test_golden(self):
         s = det_setup((0, 3, 4, 7))
@@ -686,16 +714,17 @@ class TestHilbertPart:
         assert hilbert_M_strips((0, 10, 20, 45, 96), 2) == hilbert_M_euler((0, 10, 20, 45, 96), 2)
         assert self.part.cache_info().currsize == 1
 
-    def test_bits_refused_before_the_part_and_nothing_below_d0(self):
+    def test_tall_unit_gaps_read_the_part_and_nothing_below_d0(self):
         # m = 1414 unit gaps pass both part limits (span 0, strips * m^2 =
-        # 1,999,396), but the part's walk would multiply Weyl numerators of
-        # millions of bits: 999,691 * 1 > BETTI_COST_LIMIT refuses it first
+        # 1,999,396), so the answer is read off the part, whose determinant
+        # has no row: the Weyl-numerator bits (999,691 > BETTI_COST_LIMIT)
+        # bound only the walk of one degree past those limits
+        d = tuple(range(1415))
         clear_record()
         t0 = time.perf_counter()
-        with pytest.raises(ResourceLimitError, match="Weyl numerator bits"):
-            hilbert_M_strips(tuple(range(1415)), 0)
+        assert hilbert_M_strips(d, 0) == module_profile(d).hf[0] == 1
         assert time.perf_counter() - t0 < 0.1
-        assert self.part.cache_info().misses == 0
+        assert self.part.cache_info().misses == 1
         # below d_0 nothing is walked, so nothing is refused
         t0 = time.perf_counter()
         assert hilbert_M_strips(tuple(range(8)) + (2**4681,), -1) == 0
