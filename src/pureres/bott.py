@@ -9,7 +9,7 @@ from collections import namedtuple
 from math import comb
 
 from .partitions import check_partition, dim_gl
-from .resolutions import DET_COST_LIMIT, check_degrees, check_det_cost, check_limit, det_terms
+from .resolutions import DET_COST_LIMIT, _det_terms, check_degrees, check_det_cost, check_limit
 
 
 class ScanMismatchError(Exception):
@@ -51,11 +51,11 @@ def _bott(head: tuple[int, ...], u: int) -> BottOutcome:
     degree, and t sorted minus rho is the output weight."""
     t = head + (u,)
     if u in head:
-        return BottOutcome(vanishes=True, trace=t)
+        return BottOutcome(True, t)  # positional: a scan builds dim G + 1 of these
     inversions = sum(1 for x in head if x < u)
     # from a list: tuple() resizes a generator's tuple, bypassing the free list
     beta = tuple([x - r for x, r in zip(sorted(t, reverse=True), range(len(head), -1, -1))])
-    return BottOutcome(vanishes=False, trace=t, h_degree=inversions, weight=beta)
+    return BottOutcome(False, t, inversions, beta)
 
 
 def bott_cohomology(alpha_q, u: int, m: int) -> BottOutcome:
@@ -110,7 +110,7 @@ def det_bott_scan(d) -> DetScan:
     # a dim F-entry trace per u = 0..dim G; dim G = d_s - d_0, dim F = dim G - s + 1
     cost = (d[-1] - d[0] + 1) * (d[-1] - d[0] - len(d) + 3)
     check_limit("Bott scan (dim G + 1)(dim F + 1)", cost, DET_COST_LIMIT)
-    setup, gammas = det_terms(d)
+    setup, gammas = _det_terms(d)
     m = setup.dim_f
     padded = setup.lambda_det + (0,) * (m - 1 - len(setup.lambda_det))
     head = _bott_head(padded, m)

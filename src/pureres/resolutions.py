@@ -7,13 +7,15 @@ difference sequence e with e_0 = d_0 and e_i = d_i - d_{i-1}.  Tables of
 kind "F" carry the absolute twists d_i; tables of kind "H" carry twists
 d_i - d_0 (their terms are defined only up to that shift).
 
-What follows from d is derived once per sequence into four parts, each
+What follows from d is derived once per sequence into five parts, each
 an LRU of RECORD_SIZE entries, keyed on the checked d and holding tuples
-only: `degree_data`, `_f_terms`, `det_terms` and `_hilbert_function`, the
+only: `degree_data`, `_f_terms`, `det_terms`, `_hilbert_function`, the
 strip-count Hilbert function of M(d), which `module_profile` and
-`hilbert_M_strips` share.  A part that checks a limit raises before it
-computes, and a part that raises is not stored; every entry point checks
-its input before it reads a part, and each limit before the work it bounds.
+`hilbert_M_strips` share, and `_primitive`, the Herzog-Kuhl vector.  A
+part that checks a limit raises before it computes, and a part that
+raises is not stored.  Every entry point checks d exactly once, before it
+reads a part, and each limit before the work it bounds; inside, the
+helpers take the checked d or its record and never call an entry point.
 
 Every resource bound goes through `check_limit`, whose ResourceLimitError
 reads "<what> = <cost> > limit <limit>", the cost as its bit length when
@@ -28,6 +30,7 @@ from collections import namedtuple
 from functools import lru_cache
 from itertools import accumulate
 from math import comb, gcd, lcm, prod
+from operator import lt
 
 from .partitions import (
     check_partition,
@@ -80,21 +83,24 @@ class AmbiguousSocleError(Exception):
 
 def check_degrees(d) -> tuple[int, ...]:
     """d as a strictly increasing tuple of at least two plain ints: a bool
-    or another int subclass becomes the int it equals."""
+    or another int subclass becomes the int it equals.  A non-integer is
+    reported before a non-increase, and every message quotes d as given."""
     d = tuple(d)
     if len(d) < 2:
         raise ValueError(f"degree sequence needs at least two entries: {d}")
-    out, increasing = [], True
-    for x in d:  # one pass; a non-integer is reported before a non-increase
-        if not isinstance(x, int):
-            raise ValueError(f"degree {x!r} in {d} is not an integer")
-        x = int(x)
-        if out and x <= out[-1]:
-            increasing = False
-        out.append(x)
-    if not increasing:
+    out = d
+    for x in d:  # plain ints, the usual case, are kept as they are
+        if type(x) is not int:
+            ints = []
+            for y in d:
+                if not isinstance(y, int):
+                    raise ValueError(f"degree {y!r} in {d} is not an integer")
+                ints.append(int(y))
+            out = tuple(ints)
+            break
+    if not all(map(lt, out, out[1:])):
         raise ValueError(f"degree sequence must be strictly increasing: {d}")
-    return tuple(out)
+    return out
 
 
 # a checked d, its differences e, m = len(d) - 1, the base weight lambda
@@ -122,7 +128,7 @@ def diffs(d) -> tuple[int, ...]:
 
 def degrees(e) -> tuple[int, ...]:
     """Inverse of diffs: partial sums starting at e_0."""
-    return check_degrees(accumulate(e))
+    return check_degrees(list(accumulate(e)))
 
 
 def base_weight(d) -> tuple[int, ...]:
@@ -136,6 +142,11 @@ def alpha(d, i: int) -> tuple[int, ...]:
     r = degree_data(d)
     if not 0 <= i <= r.m:
         raise ValueError(f"index {i} outside 0..{r.m}")
+    return _alpha(r, i)
+
+
+def _alpha(r: DegreeData, i: int) -> tuple[int, ...]:
+    """alpha(d, i) from the record r of d, for 0 <= i <= m."""
     return tuple([x + y for x, y in zip(r.base, r.e[1 : i + 1])]) + r.base[i:]
 
 
@@ -288,13 +299,12 @@ BETTI_LENGTH_LIMIT = 64
 BETTI_COST_LIMIT = 2**17
 
 
-def _check_bits(d) -> DegreeData:
-    """The record of d, refused when m^2 * bitlen(d_m - d_0) is over
+def _check_bits(d: tuple[int, ...]) -> None:
+    """Refuse a checked d when m^2 * bitlen(d_m - d_0) is over
     BETTI_COST_LIMIT."""
-    r = degree_data(d)
-    cost = r.m * r.m * (r.d[-1] - r.d[0]).bit_length()
+    m = len(d) - 1
+    cost = m * m * (d[-1] - d[0]).bit_length()
     check_limit("degree sequence m^2 * bitlen(d_m - d_0)", cost, BETTI_COST_LIMIT)
-    return r
 
 
 @lru_cache(maxsize=RECORD_SIZE)
@@ -302,11 +312,11 @@ def _f_terms(d: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], tuple[int
     """The weights alpha(d, 0..m) of the F-complex (m parts each) and their
     ranks dim S_alpha(E); refused over BETTI_LENGTH_LIMIT or
     BETTI_COST_LIMIT before any Weyl dimension is paid for."""
-    m = len(d) - 1
-    check_limit("degree sequence m", m, BETTI_LENGTH_LIMIT)
+    r = _degree_data(d)
+    check_limit("degree sequence m", r.m, BETTI_LENGTH_LIMIT)
     _check_bits(d)
-    weights = tuple([alpha(d, i) for i in range(m + 1)])
-    return weights, tuple([dim_gl(w, m) for w in weights])
+    weights = tuple([_alpha(r, i) for i in range(r.m + 1)])
+    return weights, tuple([dim_gl(w, r.m) for w in weights])
 
 
 def _table(
@@ -472,7 +482,14 @@ def herzog_kuhl_primitive(d) -> tuple[int, ...]:
     (prod_{j != i} 1/|d_j - d_i|)_i.  These are the only Betti numbers a
     pure resolution of type d can have, up to an integer factor.  Refused
     over BETTI_COST_LIMIT before any product."""
-    d = _check_bits(d).d
+    return _primitive(check_degrees(d))
+
+
+@lru_cache(maxsize=RECORD_SIZE)
+def _primitive(d: tuple[int, ...]) -> tuple[int, ...]:
+    """The record's Herzog-Kuhl vector of d.  Only the bits limit holds:
+    the vector needs no Weyl dimension, so no length limit."""
+    _check_bits(d)
     dens = [prod(abs(d[j] - d[i]) for j in range(len(d)) if j != i) for i in range(len(d))]
     scale = lcm(*dens)
     ints = [scale // p for p in dens]
@@ -514,11 +531,13 @@ def hilbert_M_euler(d, k: int) -> int:
     d = check_degrees(d)
     ranks = _f_terms(d)[1]
     m = len(d) - 1
-    return sum(
-        (-1) ** i * ranks[i] * comb(k - d[i] + m - 1, m - 1)
-        for i in range(m + 1)
-        if d[i] <= k
-    )
+    total = 0
+    for i, di in enumerate(d):
+        if di > k:  # d increases: no later term is generated in degree <= k
+            break
+        term = ranks[i] * comb(k - di + m - 1, m - 1)
+        total += -term if i & 1 else term
+    return total
 
 
 def hilbert_M_strips(d, k: int) -> int:
@@ -602,7 +621,7 @@ def module_profile(d) -> ModuleProfile:
     if len(top_strips) != 1:
         raise AmbiguousSocleError(f"top degree {top} carries strips {top_strips}")
     socle = top_strips[0]
-    expected = trim([a - 1 for a in alpha(d, m)])  # one column of height m removed
+    expected = trim([a - 1 for a in _alpha(r, m)])  # one column of height m removed
     if socle != expected:
         raise AmbiguousSocleError(
             f"socle strip {socle} does not match predicted {expected}"

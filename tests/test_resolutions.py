@@ -52,6 +52,13 @@ from pureres.resolutions import (
 from oracles import random_degrees, strip_filter_hilbert
 
 
+class TaggedDegree(int):
+    """An int subclass whose repr differs from the int it equals."""
+
+    def __repr__(self):
+        return f"TaggedDegree({int(self)})"
+
+
 class TestDegreeData:
     def test_diffs_roundtrip(self):
         rng = random.Random(10)
@@ -75,6 +82,15 @@ class TestDegreeData:
             # the non-integer is reported, though the sequence stopped increasing first
             ((0, 0, "a"), "degree 'a' in (0, 0, 'a') is not an integer"),
             ((5,), "degree sequence needs at least two entries: (5,)"),
+            # plain ints take the one-pass path, the others are converted;
+            # either way the message quotes the caller's entries
+            ((0, True, True), "degree sequence must be strictly increasing: (0, True, True)"),
+            ((0, 2, 2), "degree sequence must be strictly increasing: (0, 2, 2)"),
+            (iter([3, 1]), "degree sequence must be strictly increasing: (3, 1)"),
+            (
+                (TaggedDegree(2), TaggedDegree(1)),
+                "degree sequence must be strictly increasing: (TaggedDegree(2), TaggedDegree(1))",
+            ),
         ],
     )
     def test_check_degrees_messages(self, d, message):
@@ -524,6 +540,7 @@ RECORD_PARTS = (
     resolutions._f_terms,
     resolutions._det_terms,
     resolutions._hilbert_function,
+    resolutions._primitive,
 )
 
 
@@ -550,7 +567,20 @@ QUERIES = [
     lambda d: alpha(d, len(d) - 1),
     lambda d: gamma(d, 1),
     lambda d: multiple_of_primitive(betti_F(d)),
+    herzog_kuhl_primitive,
 ]
+
+# every entry point that reads the record, each called once on d
+CHECKED_ENTRIES = {
+    "betti_F": betti_F,
+    "betti_H": betti_H,
+    "herzog_kuhl_primitive": herzog_kuhl_primitive,
+    "module_profile": module_profile,
+    "duality_check": duality_check,
+    "hilbert_M_euler": lambda d: hilbert_M_euler(d, d[-1]),
+    "hilbert_M_strips": lambda d: hilbert_M_strips(d, d[0] + 2),
+    "det_bott_scan": det_bott_scan,
+}
 
 
 class TestRecord:
@@ -620,6 +650,31 @@ class TestRecord:
         for _ in range(2):
             with pytest.raises(ResourceLimitError):
                 det_setup(wide)
+
+    @pytest.mark.parametrize("entry", list(CHECKED_ENTRIES.values()), ids=list(CHECKED_ENTRIES))
+    @pytest.mark.parametrize("d", [(0, 3, 4, 7), (-2, 0, 1, 4, 6)])
+    def test_one_check_per_call(self, entry, d, monkeypatch):
+        # inside an entry point the helpers work from the checked d and its
+        # record, so d is validated once, with the record cleared or warm
+        calls = []
+
+        def spy(d):
+            calls.append(d)
+            return check_degrees(d)
+
+        bound = [
+            module
+            for name, module in list(sys.modules.items())
+            if name.startswith("pureres") and getattr(module, "check_degrees", None) is check_degrees
+        ]
+        assert {"pureres.resolutions", "pureres.bott"} <= {m.__name__ for m in bound}
+        for module in bound:
+            monkeypatch.setattr(module, "check_degrees", spy)
+        clear_record()
+        for state in ("cold", "warm"):
+            calls.clear()
+            entry(d)
+            assert len(calls) == 1, (state, calls)
 
     def test_gamma_counts_its_parts_first(self):
         # about 10^9 parts of 1 at i = 0: refused before any is built
